@@ -6,18 +6,9 @@ gradients, MI lower-bound accounting, a tiny hand-rolled GeLU encoder with
 AdamW, and a deterministic experiment harness with a CLI.
 """
 
-from .bounds import (
-    BoundReport,
-    bound_from_loss,
-    mi_gap,
-    offset_c,
-    optimal_multiplicity,
-    relative_compute,
-    variance_bound_factor,
-)
+from .bounds import bound_from_loss
 from .gaussian_world import (
     GaussianConfig,
-    ViewBatch,
     conditional_convergence_probe,
     mi_infomax_limit,
     mi_via_gaussian_kl,
@@ -25,105 +16,37 @@ from .gaussian_world import (
     true_one_vs_rest_mi,
 )
 from .harness import (
-    AggregateTable,
-    CheckReport,
-    NumericalFailure,
-    RunRecord,
     RunSpec,
     SweepSpec,
-    ValidityReport,
-    VarianceReport,
     aggregate,
-    check_suites,
     run_sweep,
     run_training,
     validity_study,
     variance_study,
 )
-from .losses import (
-    EmbeddingBatch,
-    LossResult,
-    Method,
-    ScoreTensor,
-    compute_loss,
-    l2_normalize,
-    loss_arithmetic_pvc,
-    loss_geometric_pvc,
-    loss_multicrop,
-    loss_pair_infonce,
-    loss_suffstats,
-    pvc_likelihoods,
-    rest_set_statistic,
-    score_tensor,
-    self_mask,
-)
-from .streams import stream
-from .tinynn import (
-    AdamWState,
-    MlpParams,
-    TrainConfig,
-    adamw_step,
-    backward,
-    finite_difference_grads,
-    forward,
-    gelu,
-    gelu_grad,
-    init_params,
-    loss_and_grads,
-)
+from .losses import EmbeddingBatch, Method, compute_loss, loss_pair_infonce
+from .tinynn import TrainConfig, forward, init_params
 
+# Exactly the names that the README and demos/ import.
 __all__ = [
-    "AdamWState",
-    "AggregateTable",
-    "BoundReport",
-    "CheckReport",
     "EmbeddingBatch",
     "GaussianConfig",
-    "LossResult",
     "Method",
-    "MlpParams",
-    "NumericalFailure",
-    "RunRecord",
     "RunSpec",
-    "ScoreTensor",
     "SweepSpec",
     "TrainConfig",
-    "ValidityReport",
-    "VarianceReport",
-    "ViewBatch",
-    "adamw_step",
     "aggregate",
-    "backward",
     "bound_from_loss",
-    "check_suites",
     "compute_loss",
     "conditional_convergence_probe",
-    "finite_difference_grads",
     "forward",
-    "gelu",
-    "gelu_grad",
     "init_params",
-    "l2_normalize",
-    "loss_and_grads",
-    "loss_arithmetic_pvc",
-    "loss_geometric_pvc",
-    "loss_multicrop",
     "loss_pair_infonce",
-    "loss_suffstats",
-    "mi_gap",
     "mi_infomax_limit",
     "mi_via_gaussian_kl",
-    "offset_c",
-    "optimal_multiplicity",
-    "pvc_likelihoods",
-    "relative_compute",
-    "rest_set_statistic",
     "run_sweep",
     "run_training",
     "sample_batch",
-    "score_tensor",
-    "self_mask",
-    "stream",
     "true_one_vs_rest_mi",
     "validity_study",
     "variance_study",

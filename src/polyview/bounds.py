@@ -7,48 +7,14 @@ objectives contrast against B - M + 1 candidates (offset ln(KM - M + 1));
 the pairwise objectives contrast against K (offset ln K).
 
 Also houses the closed-form side quantities: the variance ratio bound for
-the multi-crop estimator, the compute-optimal view multiplicity, and a
-relative-compute scale with (M = 2, 128 epochs) as 1.0.
+the multi-crop estimator and the compute-optimal view multiplicity.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .losses import Method
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Loss and derived MI bound for one evaluation, all in nats.
-
-    true_mi and gap are present only when the data distribution has a known
-    MI (the synthetic Gaussian world); gap = true_mi - bound, reported
-    signed, never clamped.
-    """
-
-    method: Method
-    k: int
-    m: int
-    loss: float
-    bound: float
-    true_mi: float | None = None
-    gap: float | None = None
-
-    @classmethod
-    def from_loss(
-        cls,
-        method: Method,
-        loss: float,
-        k: int,
-        m: int,
-        true_mi: float | None = None,
-    ) -> "BoundReport":
-        bound = bound_from_loss(method, loss, k, m)
-        gap = mi_gap(true_mi, bound) if true_mi is not None else None
-        return cls(method=method, k=k, m=m, loss=loss, bound=bound,
-                   true_mi=true_mi, gap=gap)
 
 
 def offset_c(k: int, m: int) -> float:
@@ -119,13 +85,3 @@ def optimal_multiplicity(b: int, p_star: float, variant: str) -> float:
     if variant == "linear-2":
         return 1.0 + math.sqrt(b * (1.0 - p_star))
     raise ValueError(f"variant must be 'linear-1' or 'linear-2', got {variant!r}")
-
-
-def relative_compute(m: int, epochs: int) -> float:
-    """(M/2) * (epochs/128): total view-encoding cost relative to a two-view
-    run of 128 epochs."""
-    if m < 2:
-        raise ValueError(f"need M >= 2, got {m}")
-    if epochs < 1:
-        raise ValueError(f"need epochs >= 1, got {epochs}")
-    return (m / 2.0) * (epochs / 128.0)

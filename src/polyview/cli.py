@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from .bounds import mi_gap
 from .gaussian_world import (
@@ -55,6 +56,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
+def _add_spec_args(p: argparse.ArgumentParser, *names: str) -> None:
+    """Add --NAME options for RunSpec fields, typed and defaulted by RunSpec."""
+    for name in names:
+        default = getattr(RunSpec, name)
+        p.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="polyview", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -68,15 +76,12 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("train", help="run one seeded training run")
     p.add_argument("--method", required=True, choices=METHOD_TOKENS)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--k", type=int, default=1024)
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--tau", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
+    _add_spec_args(p, "k")
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    _add_spec_args(p, "tau", "seed")
     p.add_argument("--out", required=True)
-    p.add_argument("--sigma0-sq", type=float, default=1.0)
-    p.add_argument("--sigma-sq", type=float, default=0.25)
-    p.add_argument("--eval-batches", type=int, default=16)
-    p.add_argument("--stride", type=int, default=1,
+    _add_spec_args(p, "sigma0_sq", "sigma_sq", "eval_batches")
+    p.add_argument("--stride", type=int, default=RunSpec.record_stride,
                    help="record every STRIDE epochs (final epoch always)")
 
     p = sub.add_parser("sweep", help="run a sweep from a JSON config")
@@ -93,20 +98,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--batches", type=int, default=256)
     p.add_argument("--k", type=int, default=256)
-    p.add_argument("--tau", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sigma0-sq", type=float, default=1.0)
-    p.add_argument("--sigma-sq", type=float, default=0.25)
+    _add_spec_args(p, "tau", "seed", "sigma0_sq", "sigma_sq")
 
     p = sub.add_parser("validity", help="M-view vs mean two-view gap study")
     p.add_argument("--method", required=True, choices=METHOD_TOKENS)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--batches", type=int, default=64)
-    p.add_argument("--k", type=int, default=1024)
-    p.add_argument("--tau", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sigma0-sq", type=float, default=1.0)
-    p.add_argument("--sigma-sq", type=float, default=0.25)
+    _add_spec_args(p, "k", "tau", "seed", "sigma0_sq", "sigma_sq")
 
     p = sub.add_parser("check", help="run a self-check suite")
     p.add_argument("--suite", required=True,
@@ -131,16 +129,17 @@ def _cmd_gaussian_mi(args) -> int:
     return 0
 
 
+def _run_spec(args, method: Method, **settings) -> RunSpec:
+    """The RunSpec named by the options that train, variance and validity share."""
+    return RunSpec(method=method, m=args.m, k=args.k, sigma0_sq=args.sigma0_sq,
+                   sigma_sq=args.sigma_sq, tau=args.tau, seed=args.seed, **settings)
+
+
 def _cmd_train(args) -> int:
-    spec = RunSpec(
-        method=Method.from_token(args.method),
-        m=args.m,
-        k=args.k,
-        sigma0_sq=args.sigma0_sq,
-        sigma_sq=args.sigma_sq,
-        tau=args.tau,
+    spec = _run_spec(
+        args,
+        Method.from_token(args.method),
         train=TrainConfig(epochs=args.epochs),
-        seed=args.seed,
         eval_batches=args.eval_batches,
         record_stride=args.stride,
     )
@@ -171,7 +170,7 @@ def _cmd_sweep(args) -> int:
         raise _UsageError(f"sweep: config is not valid JSON: {exc}")
     sweep = SweepSpec.from_json_dict(data)
     if args.jobs is not None:
-        sweep = SweepSpec.from_json_dict({**data, "jobs": args.jobs})
+        sweep = replace(sweep, jobs=args.jobs)
     results = run_sweep(sweep, args.out)
     counts = {"ran": 0, "cached": 0, "failed": 0}
     for r in results:
@@ -199,32 +198,14 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_variance(args) -> int:
-    spec = RunSpec(
-        method=Method.MULTICROP,
-        m=args.m,
-        k=args.k,
-        sigma0_sq=args.sigma0_sq,
-        sigma_sq=args.sigma_sq,
-        tau=args.tau,
-        seed=args.seed,
-    )
-    report = variance_study(spec, args.batches)
+    report = variance_study(_run_spec(args, Method.MULTICROP), args.batches)
     for line in report.lines():
         print(line)
     return 0
 
 
 def _cmd_validity(args) -> int:
-    spec = RunSpec(
-        method=Method.from_token(args.method),
-        m=args.m,
-        k=args.k,
-        sigma0_sq=args.sigma0_sq,
-        sigma_sq=args.sigma_sq,
-        tau=args.tau,
-        seed=args.seed,
-    )
-    report = validity_study(spec, args.batches)
+    report = validity_study(_run_spec(args, Method.from_token(args.method)), args.batches)
     for line in report.lines():
         print(line)
     return 0

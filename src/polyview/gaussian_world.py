@@ -34,9 +34,8 @@ class GaussianConfig:
     """Parameters of the generative process.
 
     sigma0_sq is the latent variance, sigma_sq the per-view noise variance,
-    k the number of samples per batch, m the view multiplicity. Degenerate
-    variances (zero latent or zero noise) are test fixtures only and must be
-    requested explicitly with allow_degenerate=True.
+    k the number of samples per batch, m the view multiplicity. Both
+    variances must be positive and finite.
     """
 
     sigma0_sq: float
@@ -44,17 +43,11 @@ class GaussianConfig:
     k: int
     m: int
     seed: int
-    allow_degenerate: bool = False
 
     def __post_init__(self) -> None:
-        low = 0.0 if self.allow_degenerate else None
-        if not math.isfinite(self.sigma0_sq) or (
-            self.sigma0_sq <= 0.0 if low is None else self.sigma0_sq < 0.0
-        ):
+        if not (math.isfinite(self.sigma0_sq) and self.sigma0_sq > 0.0):
             raise ValueError(f"sigma0_sq must be positive, got {self.sigma0_sq}")
-        if not math.isfinite(self.sigma_sq) or (
-            self.sigma_sq <= 0.0 if low is None else self.sigma_sq < 0.0
-        ):
+        if not (math.isfinite(self.sigma_sq) and self.sigma_sq > 0.0):
             raise ValueError(f"sigma_sq must be positive, got {self.sigma_sq}")
         if self.m < 2:
             raise ValueError(f"multiplicity m must be >= 2, got {self.m}")

@@ -20,7 +20,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
@@ -52,7 +52,6 @@ from .tinynn import (
     AdamWState,
     TrainConfig,
     adamw_step,
-    backward,
     finite_difference_grads,
     forward,
     init_params,
@@ -93,10 +92,10 @@ class RunSpec:
             raise ValueError(f"need K >= 2, got {self.k}")
         if self.method is Method.INFONCE and self.m != 2:
             raise ValueError(f"infonce requires M = 2, got M = {self.m}")
-        if not (self.sigma0_sq > 0 and self.sigma_sq > 0):
-            raise ValueError("variances must be positive")
-        if not self.tau > 0:
-            raise ValueError(f"tau must be > 0, got {self.tau}")
+        if not (0 < self.sigma0_sq < math.inf and 0 < self.sigma_sq < math.inf):
+            raise ValueError("variances must be positive and finite")
+        if not 0 < self.tau < math.inf:
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
         if self.eval_batches < 1:
             raise ValueError(f"eval_batches must be >= 1, got {self.eval_batches}")
         if self.record_stride < 1:
@@ -261,30 +260,25 @@ def run_training(spec: RunSpec) -> RunRecord:
 # Sweeps
 # ---------------------------------------------------------------------------
 
-_SWEEP_KEYS = {
-    "methods", "m_values", "seeds", "k", "sigma0_sq", "sigma_sq", "tau",
-    "train", "eval_batches", "record_stride", "jobs",
-}
-_TRAIN_KEYS = {
-    "learning_rate", "weight_decay", "beta1", "beta2", "epsilon", "epochs",
-    "fixed_dataset",
-}
+def _field_names(cls) -> set[str]:
+    return {f.name for f in fields(cls)}
 
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Cross product of methods x m_values x seeds with shared settings."""
+    """Cross product of methods x m_values x seeds. Every other field except
+    jobs is a RunSpec field, passed to each run, with RunSpec's default."""
 
     methods: tuple[Method, ...]
     m_values: tuple[int, ...]
     seeds: tuple[int, ...]
-    k: int = 1024
-    sigma0_sq: float = 1.0
-    sigma_sq: float = 0.25
-    tau: float = 0.5
-    train: TrainConfig = TrainConfig()
-    eval_batches: int = 16
-    record_stride: int = 1
+    k: int = RunSpec.k
+    sigma0_sq: float = RunSpec.sigma0_sq
+    sigma_sq: float = RunSpec.sigma_sq
+    tau: float = RunSpec.tau
+    train: TrainConfig = RunSpec.train
+    eval_batches: int = RunSpec.eval_batches
+    record_stride: int = RunSpec.record_stride
     jobs: int = 1
 
     def __post_init__(self) -> None:
@@ -304,57 +298,32 @@ class SweepSpec:
         self.expand()  # validates every combination via RunSpec
 
     def expand(self) -> list[RunSpec]:
+        shared = {name: getattr(self, name)
+                  for name in _field_names(RunSpec) & _field_names(SweepSpec)}
         return [
-            RunSpec(
-                method=method,
-                m=m,
-                k=self.k,
-                sigma0_sq=self.sigma0_sq,
-                sigma_sq=self.sigma_sq,
-                tau=self.tau,
-                train=self.train,
-                seed=seed,
-                eval_batches=self.eval_batches,
-                record_stride=self.record_stride,
-            )
+            RunSpec(method=method, m=m, seed=seed, **shared)
             for method in self.methods
             for m in self.m_values
             for seed in self.seeds
         ]
 
     def to_json_dict(self) -> dict:
-        return {
-            "methods": [m.value for m in self.methods],
-            "m_values": list(self.m_values),
-            "seeds": list(self.seeds),
-            "k": self.k,
-            "sigma0_sq": self.sigma0_sq,
-            "sigma_sq": self.sigma_sq,
-            "tau": self.tau,
-            "train": {
-                "learning_rate": self.train.learning_rate,
-                "weight_decay": self.train.weight_decay,
-                "beta1": self.train.beta1,
-                "beta2": self.train.beta2,
-                "epsilon": self.train.epsilon,
-                "epochs": self.train.epochs,
-                "fixed_dataset": self.train.fixed_dataset,
-            },
-            "eval_batches": self.eval_batches,
-            "record_stride": self.record_stride,
-            "jobs": self.jobs,
-        }
+        data = asdict(self)
+        data["methods"] = [m.value for m in self.methods]
+        data["m_values"] = list(self.m_values)
+        data["seeds"] = list(self.seeds)
+        return data
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SweepSpec":
         if not isinstance(data, dict):
             raise ValueError("sweep config must be a JSON object")
-        unknown = set(data) - _SWEEP_KEYS
+        unknown = set(data) - _field_names(cls)
         if unknown:
             raise ValueError(f"unknown sweep config keys: {sorted(unknown)}")
-        for key in ("methods", "m_values", "seeds"):
-            if key not in data:
-                raise ValueError(f"sweep config missing required key {key!r}")
+        for f in fields(cls):
+            if f.default is MISSING and f.name not in data:
+                raise ValueError(f"sweep config missing required key {f.name!r}")
         kwargs = dict(data)
         kwargs["methods"] = tuple(Method.from_token(t) for t in data["methods"])
         kwargs["m_values"] = tuple(int(m) for m in data["m_values"])
@@ -363,7 +332,7 @@ class SweepSpec:
             tr = data["train"]
             if not isinstance(tr, dict):
                 raise ValueError("train must be a JSON object")
-            bad = set(tr) - _TRAIN_KEYS
+            bad = set(tr) - _field_names(TrainConfig)
             if bad:
                 raise ValueError(f"unknown train config keys: {sorted(bad)}")
             kwargs["train"] = TrainConfig(**tr)
@@ -816,7 +785,7 @@ def _suite_grads() -> list[CheckResult]:
             rng = streams.stream(11, streams.TEST, a=i)
             views = rng.standard_normal((k, m))
             params = init_params(streams.stream(11, streams.INIT, a=i))
-            analytic = backward(params, views, method, 0.5)
+            analytic = loss_and_grads(params, views, method, 0.5)[1]
             numeric = finite_difference_grads(params, views, method, 0.5)
             worst = max(worst, max_relative_grad_error(analytic, numeric))
         results.append(CheckResult(

@@ -72,24 +72,8 @@ class EmbeddingBatch:
             raise ValueError(f"rows must be unit norm within 1e-12, worst error {worst:.3e}")
 
     @property
-    def k(self) -> int:
-        return self.z.shape[0]
-
-    @property
     def m(self) -> int:
         return self.z.shape[1]
-
-    @property
-    def d(self) -> int:
-        return self.z.shape[2]
-
-
-@dataclass(frozen=True)
-class ScoreTensor:
-    """s[j, a, v, k] = <anchor[j, a], target[k, v]> / tau."""
-
-    s: np.ndarray  # (K, M, M, K)
-    tau: float
 
 
 @dataclass(frozen=True)
@@ -115,37 +99,6 @@ def l2_normalize(v: np.ndarray) -> np.ndarray:
     if np.any(norms <= NORMALIZE_EPS):
         raise ValueError("cannot normalize a zero or subnormal vector")
     return v / norms
-
-
-def score_tensor(anchor: EmbeddingBatch, target: EmbeddingBatch, tau: float) -> ScoreTensor:
-    """Full K x M x M x K score tensor; memory grows as (K*M)^2.
-
-    Intended for inspection and small batches; the loss functions compute
-    the same scores blockwise without materializing this tensor.
-    """
-    if anchor.z.shape != target.z.shape:
-        raise ValueError(
-            f"anchor and target shapes differ: {anchor.z.shape} vs {target.z.shape}"
-        )
-    _check_tau(tau)
-    s = np.einsum("jad,kvd->javk", anchor.z, target.z, optimize=True) / tau
-    return ScoreTensor(s=s, tau=tau)
-
-
-def self_mask(beta: int, k: int, m: int) -> np.ndarray:
-    """K x M x K boolean mask of candidates to drop for target view beta.
-
-    True exactly at positions (i, v, i) with v != beta: the same-sample
-    views that are neither the positive nor legitimate negatives.
-    """
-    if not 0 <= beta < m:
-        raise ValueError(f"beta must be in [0, {m}), got {beta}")
-    mask = np.zeros((k, m, k), dtype=bool)
-    rows = np.arange(k)
-    for view in range(m):
-        if view != beta:
-            mask[rows, view, rows] = True
-    return mask
 
 
 def _check_tau(tau: float) -> None:
@@ -364,28 +317,6 @@ def _multicrop_core(z: np.ndarray, tau: float, want_grad: bool):
     return LossResult.from_per_sample(per_sample), grad
 
 
-def pvc_likelihoods(z: EmbeddingBatch, tau: float, alpha: int) -> np.ndarray:
-    """K x (M-1) matrix of likelihoods l_{i,alpha,beta}, beta ascending with
-    alpha skipped.
-
-    For anchor view alpha of sample i and target view beta, the candidate
-    set is the positive (i, beta) plus every view of every other sample;
-    same-sample views other than beta are excluded. Computed in log space
-    and exponentiated at the end; each entry lies in (0, 1).
-    """
-    _check_tau(tau)
-    _check_view(z, alpha, "alpha")
-    zz = z.z
-    k, m, d = zz.shape
-    flat_t = np.ascontiguousarray(zz.reshape(k * m, d).T)
-    same_idx = np.arange(k)[:, None] * m + np.arange(m)[None, :]
-    _, same, neg_sum, _ = _poly_view_block(zz, flat_t, alpha, tau, same_idx)
-    rest = [b for b in range(m) if b != alpha]
-    pos = same[:, rest]
-    log_l = np.log(pos) - np.log(pos + neg_sum[:, None])
-    return np.exp(log_l)
-
-
 def loss_arithmetic_pvc(z: EmbeddingBatch, tau: float) -> LossResult:
     """Per sample and anchor view: -log of the arithmetic mean over target
     views of l_{i,alpha,beta}, averaged over anchor views and samples."""
@@ -401,22 +332,6 @@ def loss_geometric_pvc(z: EmbeddingBatch, tau: float) -> LossResult:
     _check_tau(tau)
     result, _ = _pvc_core(z.z, tau, arithmetic=False, want_grad=False)
     return result
-
-
-def rest_set_statistic(z: EmbeddingBatch, alpha: int) -> np.ndarray:
-    """K x d unit-norm statistics: Q[i] = normalize(mean of views != alpha).
-
-    Implemented by zeroing view alpha, rescaling by M/(M-1), averaging over
-    views, then normalizing. Raises if any rest-set mean has near-zero norm.
-    """
-    _check_view(z, alpha, "alpha")
-    u = _rest_set_raw(z.z)[:, alpha, :]
-    norms = np.linalg.norm(u, axis=-1, keepdims=True)
-    if np.any(norms <= NORMALIZE_EPS):
-        raise ValueError(
-            "rest-set mean has near-zero norm (antipodal views); cannot normalize"
-        )
-    return u / norms
 
 
 def loss_suffstats(z: EmbeddingBatch, tau: float) -> LossResult:

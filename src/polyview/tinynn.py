@@ -6,14 +6,14 @@ gradients (through normalization, scoring, and each contrastive loss) are
 derived by hand and checked against the central finite-difference oracle in
 this module; no autodiff anywhere.
 
-Everything is float64 and functional: forward/backward/adamw_step take and
-return immutable dataclasses, so equal inputs give bit-equal outputs.
+Everything is float64 and functional: forward, loss_and_grads and adamw_step
+take and return immutable dataclasses, so equal inputs give bit-equal outputs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf
@@ -168,7 +168,8 @@ def forward(params: MlpParams, views: np.ndarray) -> EmbeddingBatch:
 def loss_and_grads(
     params: MlpParams, views: np.ndarray, method: Method, tau: float
 ) -> tuple[LossResult, MlpParams]:
-    """One fused pass: loss value plus its exact parameter gradient."""
+    """One fused pass: compute_loss(method, forward(params, views), tau) plus
+    its exact gradient with respect to every parameter, in MlpParams shape."""
     x, h1, a1, h2, norms, z = _forward_trace(params, views)
     result, dz = _loss_and_zgrad(method, EmbeddingBatch(z=z), tau, want_grad=True)
     dz_flat = dz.reshape(-1, D_OUT)
@@ -185,14 +186,6 @@ def loss_and_grads(
     dw1 = dh1.T @ x
     db1 = dh1.sum(axis=0)
     return result, MlpParams(w1=dw1, b1=db1, w2=dw2, b2=db2)
-
-
-def backward(
-    params: MlpParams, views: np.ndarray, method: Method, tau: float
-) -> MlpParams:
-    """Exact gradient of compute_loss(method, forward(params, views), tau)
-    with respect to every parameter, packaged in MlpParams shape."""
-    return loss_and_grads(params, views, method, tau)[1]
 
 
 def finite_difference_grads(

@@ -54,9 +54,9 @@ from polyview.losses import (
 )
 from polyview.tinynn import (
     TrainConfig,
-    backward,
     finite_difference_grads,
     init_params,
+    loss_and_grads,
     max_relative_grad_error,
 )
 
@@ -113,7 +113,7 @@ def test_criterion_02_gradient_checks():
                 rng = streams.stream(23, streams.TEST, a=case)
                 views = rng.standard_normal((k, m))
                 params = init_params(streams.stream(23, streams.INIT, a=case))
-                analytic = backward(params, views, method, 0.5)
+                analytic = loss_and_grads(params, views, method, 0.5)[1]
                 numeric = finite_difference_grads(params, views, method, 0.5, h=1e-6)
                 worst = max(worst, max_relative_grad_error(analytic, numeric))
                 checked += 1

@@ -9,12 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyview.bounds import (
-    BoundReport,
     bound_from_loss,
     mi_gap,
     offset_c,
     optimal_multiplicity,
-    relative_compute,
     variance_bound_factor,
 )
 from polyview.losses import Method
@@ -136,28 +134,3 @@ class TestOptimalMultiplicity:
         easier = optimal_multiplicity(b, min(p + 1e-6, 1.0 - 1e-9), "linear-2")
         harder = optimal_multiplicity(b, p, "linear-2")
         assert harder >= easier
-
-
-class TestRelativeCompute:
-    def test_frozen_values(self):
-        assert relative_compute(2, 128) == 1.0
-        assert relative_compute(8, 128) == 4.0
-        assert relative_compute(2, 1024) == 8.0
-
-    def test_preconditions(self):
-        with pytest.raises(ValueError):
-            relative_compute(1, 128)
-        with pytest.raises(ValueError):
-            relative_compute(2, 0)
-
-
-class TestBoundReport:
-    def test_from_loss_fills_derived_fields(self):
-        report = BoundReport.from_loss(Method.GEOMETRIC_PVC, 3.0, k=16, m=4, true_mi=0.51)
-        assert report.bound == pytest.approx(math.log(61) - 3.0, abs=1e-15)
-        assert report.gap == pytest.approx(0.51 - report.bound, abs=1e-15)
-
-    def test_without_true_mi(self):
-        report = BoundReport.from_loss(Method.MULTICROP, 2.0, k=16, m=4)
-        assert report.true_mi is None and report.gap is None
-        assert report.bound == pytest.approx(math.log(16) - 2.0, abs=1e-15)

@@ -6,6 +6,7 @@ Exit code contract: 0 success, 1 usage error, 2 numerical failure,
 
 import importlib
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -333,10 +334,15 @@ class TestEntryPoints:
         assert "InfoMax limit" in capsys.readouterr().out
 
     def test_module_invocation(self):
+        # The child imports the package this suite imports. pytest's
+        # `pythonpath` setting puts src/ on sys.path but not in the environment.
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run(
             [sys.executable, "-m", "polyview", "check", "--suite", "identities"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert "PASS" in proc.stdout

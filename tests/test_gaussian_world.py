@@ -145,16 +145,9 @@ class TestSampling:
         residual = batch.views.mean(axis=1) - batch.latents
         assert np.mean(residual**2) == pytest.approx(0.25 / 8, rel=0.1)
 
-    def test_degenerate_variances_need_flag(self):
-        with pytest.raises(ValueError):
-            self.cfg(sigma0_sq=0.0)
-        cfg = self.cfg(sigma0_sq=0.0, allow_degenerate=True, k=8)
-        batch = sample_batch(cfg)
-        np.testing.assert_array_equal(batch.latents, np.zeros(8))
-
     def test_invalid_config_rejected(self):
         for kw in (dict(m=1), dict(k=0), dict(seed=-1), dict(sigma_sq=-0.5),
-                   dict(sigma0_sq=float("nan"))):
+                   dict(sigma0_sq=float("nan")), dict(sigma0_sq=0.0)):
             with pytest.raises(ValueError):
                 self.cfg(**kw)
 

@@ -8,6 +8,7 @@ the committed results/ dataset covers production scale.
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +33,8 @@ from polyview.harness import (
 )
 from polyview.losses import Method
 from polyview.tinynn import TrainConfig
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def tiny_spec(method=Method.ARITHMETIC_PVC, **kw) -> RunSpec:
@@ -61,6 +64,9 @@ class TestRunSpec:
             dict(eval_batches=0),
             dict(record_stride=0),
             dict(seed=2**64),
+            dict(tau=math.inf),
+            dict(sigma0_sq=math.inf),
+            dict(sigma_sq=math.inf),
         ],
     )
     def test_rejects_bad_fields(self, kw):
@@ -259,6 +265,23 @@ class TestSweepSpec:
         data["train"]["lr"] = 0.1
         with pytest.raises(ValueError, match="unknown train config keys"):
             SweepSpec.from_json_dict(data)
+
+    @pytest.mark.parametrize("key", ["tau", "sigma0_sq", "sigma_sq"])
+    def test_non_finite_config_value_rejected(self, key):
+        text = json.dumps({**self.make().to_json_dict(), key: math.inf})
+        assert "Infinity" in text
+        with pytest.raises(ValueError, match="finite"):
+            SweepSpec.from_json_dict(json.loads(text))
+
+    def test_fig3_config_echo_matches_committed_sweep_json(self):
+        with open(REPO / "configs" / "fig3_sweep.json") as fh:
+            sweep = SweepSpec.from_json_dict(json.load(fh))
+        with open(REPO / "results" / "fig3" / "sweep.json") as fh:
+            committed = json.load(fh)
+        committed.pop("eval_protocol")
+        assert json.dumps(sweep.to_json_dict(), indent=2, sort_keys=True) == json.dumps(
+            committed, indent=2, sort_keys=True
+        )
 
     def test_missing_required_key_rejected(self):
         data = self.make().to_json_dict()

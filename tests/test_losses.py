@@ -27,10 +27,6 @@ from polyview.losses import (
     loss_multicrop,
     loss_pair_infonce,
     loss_suffstats,
-    pvc_likelihoods,
-    rest_set_statistic,
-    score_tensor,
-    self_mask,
 )
 
 TAU = 0.5
@@ -185,78 +181,6 @@ class TestEmbeddingBatch:
         assert res.total == 2.0
 
 
-class TestScoreTensor:
-    def test_identical_embeddings_give_inverse_tau(self):
-        batch = identical_embedding_batch(3, 2, 4)
-        s = score_tensor(batch, batch, 0.5).s
-        np.testing.assert_allclose(s, 2.0, atol=1e-12)
-
-    def test_orthogonal_embeddings_score_zero_off_pair(self):
-        z = np.zeros((2, 2, 4))
-        for i in range(2):
-            for a in range(2):
-                z[i, a, 2 * i + a] = 1.0
-        s = score_tensor(EmbeddingBatch(z=z), EmbeddingBatch(z=z), 1.0).s
-        for j in range(2):
-            for a in range(2):
-                for v in range(2):
-                    for kk in range(2):
-                        expected = 1.0 if (j, a) == (kk, v) else 0.0
-                        assert s[j, a, v, kk] == expected
-
-    def test_hand_computed_entries(self):
-        z = np.array([
-            [[1.0, 0.0], [0.6, 0.8]],
-            [[0.0, 1.0], [0.8, -0.6]],
-        ])
-        s = score_tensor(EmbeddingBatch(z=z), EmbeddingBatch(z=z), 0.5).s
-        assert s[0, 0, 1, 0] == pytest.approx(1.2, abs=1e-15)   # (1,0).(0.6,0.8)/0.5
-        assert s[0, 1, 1, 1] == pytest.approx(0.0, abs=1e-15)   # (0.6,0.8).(0.8,-0.6)
-        assert s[1, 0, 0, 0] == pytest.approx(0.0, abs=1e-15)   # (0,1).(1,0)
-        assert s[1, 1, 0, 1] == pytest.approx(-1.2, abs=1e-15)  # (0.8,-0.6).(0,1)/0.5
-
-    def test_symmetry_under_swap(self, rng):
-        batch = random_embedding_batch(3, 2, 5, case=2)
-        s = score_tensor(batch, batch, TAU).s
-        np.testing.assert_allclose(s, np.transpose(s, (3, 2, 1, 0)), atol=1e-15)
-
-    def test_shape_mismatch_rejected(self):
-        a = random_embedding_batch(2, 2, 3, case=0)
-        b = random_embedding_batch(3, 2, 3, case=0)
-        with pytest.raises(ValueError):
-            score_tensor(a, b, TAU)
-        with pytest.raises(ValueError):
-            score_tensor(a, a, 0.0)
-
-
-class TestSelfMask:
-    def test_single_sample_leaves_one_way_softmax(self):
-        mask = self_mask(1, k=1, m=3)
-        assert mask.sum() == 2  # both non-target own views masked
-        assert not mask[0, 1, 0]
-
-    def test_two_views_mask_one_position_per_sample(self):
-        mask = self_mask(0, k=5, m=2)
-        assert mask.sum() == 5
-        assert mask[:, 1, :].trace() == 5
-
-    def test_combinatorial_count(self):
-        assert self_mask(2, k=3, m=4).sum() == 9
-
-    def test_positions_match_loop_oracle(self):
-        k, m, beta = 4, 3, 1
-        mask = self_mask(beta, k=k, m=m)
-        for i in range(k):
-            for v in range(m):
-                for j in range(k):
-                    expected = (i == j) and (v != beta)
-                    assert mask[i, v, j] == expected
-
-    def test_beta_out_of_range(self):
-        with pytest.raises(ValueError):
-            self_mask(2, k=3, m=2)
-
-
 # ---------------------------------------------------------------------------
 # Objectives against oracles
 # ---------------------------------------------------------------------------
@@ -294,74 +218,12 @@ class TestAgainstOracles:
         want = oracle_pair_infonce(batch.z, alpha, beta, TAU)
         np.testing.assert_allclose(got.per_sample, want, atol=1e-12)
 
-    def test_likelihoods_match_oracle_and_normalize(self):
-        batch = random_embedding_batch(2, 3, 4, case=21)
-        k, m = batch.k, batch.m
-        for alpha in range(m):
-            got = pvc_likelihoods(batch, TAU, alpha)
-            assert got.shape == (k, m - 1)
-            assert np.all((got > 0.0) & (got < 1.0))
-            rest = [b for b in range(m) if b != alpha]
-            for i in range(k):
-                for col, beta in enumerate(rest):
-                    want = oracle_likelihood(batch.z, TAU, i, alpha, beta)
-                    assert got[i, col] == pytest.approx(want, abs=1e-12)
-
-    def test_likelihood_softmax_sums_to_one(self):
-        # The positive's probability plus its masked-softmax siblings is 1:
-        # reconstruct the full candidate distribution the oracle way.
-        batch = random_embedding_batch(3, 3, 2, case=22)
-        z = batch.z
-        k, m, _ = z.shape
-        for i, alpha, beta in [(0, 0, 1), (1, 2, 0), (2, 1, 2)]:
-            candidates = [(i, beta)] + [
-                (j, v) for j in range(k) if j != i for v in range(m)
-            ]
-            scores = [float(np.dot(z[i, alpha], z[j, v])) / TAU for j, v in candidates]
-            top = max(scores)
-            exps = [math.exp(s - top) for s in scores]
-            probs = [e / sum(exps) for e in exps]
-            assert sum(probs) == pytest.approx(1.0, abs=1e-12)
-            assert len(probs) == (k - 1) * m + 1
-            assert probs[0] == pytest.approx(
-                pvc_likelihoods(batch, TAU, alpha)[i][
-                    [b for b in range(m) if b != alpha].index(beta)
-                ],
-                abs=1e-12,
-            )
-
-    def test_rest_set_statistic_matches_oracle(self):
-        batch = random_embedding_batch(3, 3, 4, case=23)
-        for alpha in range(batch.m):
-            got = rest_set_statistic(batch, alpha)
-            for i in range(batch.k):
-                np.testing.assert_allclose(
-                    got[i], oracle_rest_stat(batch.z, i, alpha), atol=1e-12
-                )
-
-    def test_rest_set_statistic_m2_is_other_view(self):
-        batch = random_embedding_batch(4, 2, 3, case=24)
-        np.testing.assert_allclose(
-            rest_set_statistic(batch, 0), batch.z[:, 1, :], atol=1e-15
-        )
-        np.testing.assert_allclose(
-            rest_set_statistic(batch, 1), batch.z[:, 0, :], atol=1e-15
-        )
-
-    def test_rest_set_statistic_identical_views(self):
-        batch = identical_embedding_batch(3, 4, 5)
-        np.testing.assert_allclose(
-            rest_set_statistic(batch, 2), batch.z[:, 2, :], atol=1e-15
-        )
-
     def test_antipodal_rest_set_rejected(self):
         # View 0's rest set is {v, -v}, whose mean is exactly zero.
         a = unit_rows(np.array([1.0, 0.0]))
         v = unit_rows(np.array([0.6, 0.8]))
         z = np.stack([np.stack([a, v, -v]), np.stack([v, a, -a])])
         batch = EmbeddingBatch(z=z)
-        with pytest.raises(ValueError):
-            rest_set_statistic(batch, 0)
         with pytest.raises(ValueError):
             loss_suffstats(batch, TAU)
 
@@ -436,10 +298,6 @@ class TestCollapseSentinels:
     def test_pairwise_collapse(self, k, m):
         batch = identical_embedding_batch(k, m, 3)
         assert loss_multicrop(batch, TAU).total == pytest.approx(math.log(k), abs=1e-12)
-
-    def test_identical_likelihoods_are_uniform(self):
-        batch = identical_embedding_batch(2, 2, 3)
-        np.testing.assert_allclose(pvc_likelihoods(batch, TAU, 0), 1.0 / 3.0, atol=1e-12)
 
     def test_pair_infonce_collapse_is_ln2(self):
         batch = identical_embedding_batch(2, 2, 3)
@@ -600,12 +458,3 @@ def test_losses_positive_and_ordered(k, m, d, case):
     assert a.total <= g.total + 1e-12
     for res in (a, g, s, p):
         assert np.all(res.per_sample > 0.0)
-
-
-@given(case=st.integers(0, 50), alpha=st.integers(0, 2))
-@settings(deadline=None, max_examples=30)
-def test_likelihoods_live_in_unit_interval(case, alpha):
-    batch = random_embedding_batch(3, 3, 2, case=case)
-    ls = pvc_likelihoods(batch, TAU, alpha)
-    assert np.all(ls > 0.0)
-    assert np.all(ls < 1.0)

@@ -1,0 +1,44 @@
+"""The package's public surface is exactly what the README and demos import."""
+
+import ast
+import re
+import types
+from pathlib import Path
+
+import polyview
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def _readme_and_demo_sources() -> list[str]:
+    readme = (REPO / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    assert blocks, "README has no Python block"
+    demos = sorted((REPO / "demos").glob("*.py"))
+    assert demos, "no demo scripts found"
+    return blocks + [path.read_text() for path in demos]
+
+
+def _names_imported_from_polyview() -> set[str]:
+    names = set()
+    for source in _readme_and_demo_sources():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and node.module == "polyview" and not node.level:
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_readme_and_demo_imports_resolve():
+    for name in sorted(_names_imported_from_polyview()):
+        exec(f"from polyview import {name}", {})
+
+
+def test_all_is_exactly_the_imported_names():
+    # Submodules (`from polyview import streams`) are importable without
+    # being listed in __all__.
+    names = {
+        name for name in _names_imported_from_polyview()
+        if not isinstance(getattr(polyview, name), types.ModuleType)
+    }
+    assert len(polyview.__all__) == len(set(polyview.__all__))
+    assert set(polyview.__all__) == names

@@ -24,7 +24,6 @@ from polyview.tinynn import (
     MlpParams,
     TrainConfig,
     adamw_step,
-    backward,
     finite_difference_grads,
     forward,
     gelu,
@@ -193,7 +192,7 @@ class TestGradients:
         m = 2 if method is Method.INFONCE else 3
         params = init_params(rng_for(7))
         views = random_views(4, m, case=3)
-        analytic = backward(params, views, method, 0.5)
+        analytic = loss_and_grads(params, views, method, 0.5)[1]
         numeric = finite_difference_grads(params, views, method, 0.5)
         err = max_relative_grad_error(analytic, numeric)
         assert err < 1e-5, f"{method}: {err:.3e}"
@@ -208,7 +207,7 @@ class TestGradients:
         )
         views = random_views(3, 2, case=4)
         for method in (Method.GEOMETRIC_PVC, Method.MULTICROP):
-            analytic = backward(params, views, method, 0.5)
+            analytic = loss_and_grads(params, views, method, 0.5)[1]
             numeric = finite_difference_grads(params, views, method, 0.5)
             assert max_relative_grad_error(analytic, numeric) < 1e-5
 
@@ -216,7 +215,7 @@ class TestGradients:
     def test_temperature_consistency(self, tau):
         params = init_params(rng_for(9))
         views = random_views(3, 3, case=5)
-        analytic = backward(params, views, Method.ARITHMETIC_PVC, tau)
+        analytic = loss_and_grads(params, views, Method.ARITHMETIC_PVC, tau)[1]
         numeric = finite_difference_grads(params, views, Method.ARITHMETIC_PVC, tau)
         assert max_relative_grad_error(analytic, numeric) < 1e-5
 
