@@ -324,10 +324,9 @@ class SweepSpec:
         for f in fields(cls):
             if f.default is MISSING and f.name not in data:
                 raise ValueError(f"sweep config missing required key {f.name!r}")
-        kwargs = dict(data)
-        kwargs["methods"] = tuple(Method.from_token(t) for t in data["methods"])
-        kwargs["m_values"] = tuple(int(m) for m in data["m_values"])
-        kwargs["seeds"] = tuple(int(s) for s in data["seeds"])
+        kwargs = {f.name: _checked(f.name, data[f.name], f.type)
+                  for f in fields(cls) if f.name in data}
+        kwargs["methods"] = tuple(Method.from_token(t) for t in kwargs["methods"])
         if "train" in data:
             tr = data["train"]
             if not isinstance(tr, dict):
@@ -335,8 +334,27 @@ class SweepSpec:
             bad = set(tr) - _field_names(TrainConfig)
             if bad:
                 raise ValueError(f"unknown train config keys: {sorted(bad)}")
-            kwargs["train"] = TrainConfig(**tr)
+            kwargs["train"] = TrainConfig(**{
+                f.name: _checked(f"train.{f.name}", tr[f.name], f.type)
+                for f in fields(TrainConfig) if f.name in tr
+            })
         return cls(**kwargs)
+
+
+_JSON_KINDS = {"int": int, "float": (int, float), "bool": bool, "Method": str}
+
+
+def _checked(key: str, value, kind: str):
+    """value if it is JSON for a field annotated kind ("int", "float",
+    "tuple[int, ...]", ...); booleans count as neither int nor float."""
+    if kind.startswith("tuple["):
+        if not isinstance(value, list):
+            raise ValueError(f"sweep config key {key!r} must be a list, got {value!r}")
+        return tuple(_checked(key, v, kind[len("tuple["):-len(", ...]")]) for v in value)
+    wanted = _JSON_KINDS.get(kind)
+    if wanted and (not isinstance(value, wanted) or (kind != "bool" and isinstance(value, bool))):
+        raise ValueError(f"sweep config key {key!r} must be {kind}, got {value!r}")
+    return value
 
 
 def run_path(out_dir: str, spec: RunSpec) -> str:
@@ -373,14 +391,32 @@ class SweepResult:
     message: str = ""
 
 
+# The settings every run of a sweep shares; runs in one directory must agree.
+_SHARED_SETTINGS = ("k", "tau", "sigma0_sq", "sigma_sq", "train", "eval_batches",
+                    "record_stride")
+
+
 def run_sweep(sweep: SweepSpec, out_dir: str) -> list[SweepResult]:
     """Execute every run of the sweep into out_dir, one CSV per
     (method, M, seed). Complete files from earlier invocations are trusted
     (runs are byte-deterministic) and skipped; failures are recorded and the
-    sweep continues."""
+    sweep continues. A directory whose sweep.json records other shared run
+    settings is refused with ValueError before anything is written."""
     os.makedirs(out_dir, exist_ok=True)
     config_path = os.path.join(out_dir, "sweep.json")
     meta = sweep.to_json_dict()
+    if os.path.exists(config_path):
+        with open(config_path) as fh:
+            try:
+                before = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{config_path} is not valid JSON: {exc}") from exc
+        differ = [key for key in _SHARED_SETTINGS if before.get(key) != meta[key]]
+        if differ:
+            raise ValueError(
+                f"{out_dir} holds runs made with other settings "
+                f"({', '.join(differ)} differ); use a fresh directory"
+            )
     meta["eval_protocol"] = "fresh held-out batches at each recorded epoch"
     with open(config_path, "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
@@ -396,8 +432,21 @@ def run_sweep(sweep: SweepSpec, out_dir: str) -> list[SweepResult]:
             pending.append((spec, path))
 
     if sweep.jobs > 1 and len(pending) > 1:
-        with ProcessPoolExecutor(max_workers=sweep.jobs) as pool:
-            outcomes = list(pool.map(_sweep_worker, pending))
+        import multiprocessing
+
+        # Spawned workers read this at start: max(1, cores // jobs) OpenBLAS
+        # threads each, so that together they keep to the machine's cores.
+        saved = os.environ.get("OPENBLAS_NUM_THREADS")
+        os.environ["OPENBLAS_NUM_THREADS"] = str(max(1, (os.cpu_count() or 1) // sweep.jobs))
+        try:
+            with ProcessPoolExecutor(max_workers=sweep.jobs,
+                                     mp_context=multiprocessing.get_context("spawn")) as pool:
+                outcomes = list(pool.map(_sweep_worker, pending))
+        finally:
+            if saved is None:
+                del os.environ["OPENBLAS_NUM_THREADS"]
+            else:
+                os.environ["OPENBLAS_NUM_THREADS"] = saved
     else:
         outcomes = [_sweep_worker(item) for item in pending]
     for (spec, path), (_, status, message) in zip(pending, outcomes):

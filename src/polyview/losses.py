@@ -13,21 +13,37 @@ Five objectives on a batch of K samples with M unit-norm embeddings each
   * Sufficient-statistics loss: each view contrasts against the normalized
     mean of its own rest set among the rest-set statistics of other samples.
 
-Masked candidates are excluded from the softmax normalization outright
-(their exponentials never enter the sum); no large-negative-constant
-masking. All reductions run in float64 with a fixed order, so equal inputs
-give bit-equal results.
+One kernel, `_candidate_set_loss`, computes all five. It scores anchor views
+against a candidate matrix (all views, one view, or the rest-set
+statistics), leaves every same-sample candidate out of the negative sums,
+takes each positive straight from its score, and aggregates the per-target
+log-likelihoods by their mean or log-mean-exp (one target: the mean of one).
+
+Shift rule: unit rows keep every score in [-1/tau, 1/tau]. Anchors scaled
+by 1/tau get a column -1/tau and candidates a column of ones, so the score
+GEMM itself subtracts the constant 1/tau. While 2/tau <= 700 no shifted
+exp under- or overflows, and with anchors as candidates the exp matrix is
+symmetric: each pair of view tiles is computed once for both. Below that
+temperature each row takes the max of its non-excluded scores in each
+candidate view, and symmetry is not used. A loss-only call runs pass 1 (the
+negative sums); gradients add pass 2, which recomputes each tile. All
+reductions run in float64 in a fixed order: equal inputs give equal bits.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 NORMALIZE_EPS = 1e-30
+# exp(-700) is still a normal double; below tau = 2/700 rows take their own max.
+_SHIFT_LIMIT = 700.0
+# Views are grouped into tiles of at most this many rows (at least one view).
+_TILE_ROWS = 1024
 
 
 class Method(enum.Enum):
@@ -106,176 +122,161 @@ def _check_tau(tau: float) -> None:
         raise ValueError(f"temperature tau must be a positive finite real, got {tau}")
 
 
-def _anchor_view(z: np.ndarray, alpha: int) -> np.ndarray:
-    return np.ascontiguousarray(z[:, alpha, :])
-
-
 # ---------------------------------------------------------------------------
-# Block kernels. One anchor view at a time against all B columns, so peak
-# memory is K x B per block instead of (K*M)^2 for the full tensor.
+# The candidate-set kernel. Arrays are view-major: (views, K, d), so a tile
+# of whole views is a contiguous block of rows.
 # ---------------------------------------------------------------------------
 
 
-def _poly_view_block(
-    z: np.ndarray,
-    flat_t: np.ndarray,
-    alpha: int,
-    tau: float,
-    same_idx: np.ndarray,
-):
-    """Shifted candidate exponentials for anchor view alpha.
+@functools.lru_cache(maxsize=64)
+def _plan(others: bool, per_view: bool, ma: int, mc: int, k: int, symmetric: bool,
+          tile_rows: int):
+    """Index work shared by every call of one shape: targets (Ma, T), the
+    candidate views holding each anchor view's positives; the tiles
+    (a0, a1, b0, b1, mirrored, same), anchor views [a0, a1) against
+    candidate views [b0, b1) with the flat indices of their same-sample
+    entries, a mirrored tile also standing for its transpose; and the flat
+    indices of the targets in a (Ma, K, Mc) array."""
+    if others:
+        targets = np.array([[b for b in range(mc) if b != a] for a in range(ma)])
+    else:
+        targets = np.arange(ma)[:, None]
+    needed = np.full((ma, mc), not per_view)
+    needed[np.arange(ma)[:, None], targets] = True
+    rows, step, tiles = np.arange(k), max(1, tile_rows // k), []
+    for a0 in range(0, ma, step):
+        a1 = min(a0 + step, ma)
+        for b0 in range(a0 if symmetric else 0, mc, step):
+            b1 = min(b0 + step, mc)
+            mirrored = symmetric and b0 != a0
+            if needed[a0:a1, b0:b1].any() or (mirrored and needed[b0:b1, a0:a1].any()):
+                same = [(a * k + rows) * ((b1 - b0) * k) + b * k + rows
+                        for a in range(a1 - a0) for b in range(b1 - b0)]
+                tiles.append((a0, a1, b0, b1, mirrored, np.concatenate(same)))
+    gather = (np.arange(ma)[:, None, None] * k + rows[:, None]) * mc + targets[:, None, :]
+    return targets, tuple(tiles), gather
 
-    Returns (E, same, neg_sum, row_shift) where E is the K x B matrix of
-    exp(score - row max) with every same-sample column zeroed (exclusion
-    masking), same holds the K x M zeroed-out values, and neg_sum the row
-    sums of E, i.e. the exact negative mass.
+
+def _exp_tile(a_hat, c_hat, k, tile, shift, fill):
+    """exp of one tile of shifted scores as (va, K, vb, K), every
+    same-sample entry zero. shift is None under the constant shift; else the
+    per-row, per-view shifts, which fill takes from this tile's maxima."""
+    a0, a1, b0, b1, _, same = tile
+    s = a_hat[a0 * k:a1 * k] @ c_hat[b0 * k:b1 * k].T
+    e = s.reshape(a1 - a0, k, b1 - b0, k)
+    if shift is None:
+        np.exp(s, out=s)
+        s.reshape(-1)[same] = 0.0
+        return e
+    s.reshape(-1)[same] = -np.inf
+    block = shift[a0:a1, :, b0:b1]
+    if fill:
+        block[...] = e.max(axis=3)
+    e -= block[..., None]
+    return np.exp(e, out=e)
+
+
+def _candidate_set_loss(anchors, cands, tau, others, log_mean_exp, per_view, want_grad):
+    """Per-sample loss and optional gradients of one candidate-set objective.
+
+    anchors (Ma, K, d) and cands (Mc, K, d) are view-major unit rows; pass
+    the same array for both when the candidates are the anchor views. The
+    positives of anchor (alpha, i) are its own sample's candidates in every
+    other view (others) or in view alpha. Its negatives are the candidates
+    of every other sample: in the positive's view only (per_view), or in
+    every view. Returns (per_sample, grad_anchors, grad_cands); the two
+    gradients are one array when anchors is cands.
     """
-    scores = _anchor_view(z, alpha) @ flat_t
-    scores /= tau
-    row_shift = scores.max(axis=1)
-    scores -= row_shift[:, None]
-    np.exp(scores, out=scores)
-    e = scores
-    rows = np.arange(z.shape[0])[:, None]
-    same = e[rows, same_idx].copy()
-    e[rows, same_idx] = 0.0
-    neg_sum = e.sum(axis=1)
-    return e, same, neg_sum, row_shift
+    ma, k, d = anchors.shape
+    mc = cands.shape[0]
+    rowmax = 2.0 / tau > _SHIFT_LIMIT
+    symmetric = cands is anchors and not rowmax
+    targets, tiles, gather = _plan(others, per_view, ma, mc, k, symmetric, _TILE_ROWS)
+    n_t = targets.shape[1]
+    fold = np.full(d + 1, 1.0 / tau)
+    fold[d] = -1.0 / tau
+    c_hat = np.concatenate((cands.reshape(-1, d), np.ones((mc * k, 1))), axis=1)
+    a_hat = c_hat if cands is anchors else np.concatenate(
+        (anchors.reshape(-1, d), np.ones((ma * k, 1))), axis=1)
+    a_hat = a_hat * fold
+    shift = np.zeros((ma, k, mc)) if rowmax else None
 
-
-def _pvc_core(z: np.ndarray, tau: float, arithmetic: bool, want_grad: bool):
-    """Loss and optional embedding gradient for the poly-view objectives."""
-    k, m, d = z.shape
-    flat = z.reshape(k * m, d)
-    flat_t = np.ascontiguousarray(flat.T)
-    same_idx = np.arange(k)[:, None] * m + np.arange(m)[None, :]
-    rows = np.arange(k)[:, None]
-    rest_cols = np.array([[b for b in range(m) if b != a] for a in range(m)])
-
-    per_sample = np.zeros(k)
-    grad = np.zeros_like(z) if want_grad else None
-    grad_flat = grad.reshape(k * m, d) if want_grad else None
-    scale = 1.0 / (k * m * tau)
-
-    for alpha in range(m):
-        e, same, neg_sum, _ = _poly_view_block(z, flat_t, alpha, tau, same_idx)
-        pos = same[:, rest_cols[alpha]]                      # (K, M-1)
-        denom = pos + neg_sum[:, None]
-        log_l = np.log(pos) - np.log(denom)
-
-        if arithmetic:
-            # -log mean_beta l via logsumexp, shift-stable.
-            top = log_l.max(axis=1)
-            sum_exp = np.exp(log_l - top[:, None]).sum(axis=1)
-            term = -(top + np.log(sum_exp) - math.log(m - 1))
-        else:
-            term = -log_l.mean(axis=1)
-        per_sample += term / m
-
-        if not want_grad:
-            continue
-        if arithmetic:
-            weights = np.exp(log_l - log_l.max(axis=1, keepdims=True))
-            weights /= weights.sum(axis=1, keepdims=True)
-        else:
-            weights = np.full((k, m - 1), 1.0 / (m - 1))
-        likelihood = np.exp(log_l)
-        neg_coeff = scale * (weights / denom).sum(axis=1)
-        e *= neg_coeff[:, None]
-        pos_coeff = np.zeros((k, m))
-        pos_coeff[:, rest_cols[alpha]] = scale * weights * (likelihood - 1.0)
-        e[rows, same_idx] = pos_coeff
-        anchor = _anchor_view(z, alpha)
-        grad[:, alpha, :] += e @ flat
-        grad_flat += e.T @ anchor
-
-    result = LossResult.from_per_sample(per_sample)
-    return (result, grad) if want_grad else (result, None)
-
-
-def _rest_set_raw(z: np.ndarray) -> np.ndarray:
-    """Unnormalized rest-set means for every view: zero the view, rescale by
-    M/(M-1), average over views."""
-    k, m, d = z.shape
-    rep = np.broadcast_to(z[:, :, None, :], (k, m, m, d)).copy()
-    diag = np.arange(m)
-    rep[:, diag, diag, :] = 0.0
-    rep *= m / (m - 1)
-    return rep.mean(axis=1)
-
-
-def _suffstats_core(z: np.ndarray, tau: float, want_grad: bool):
-    """Loss and optional embedding gradient for the rest-set statistic objective."""
-    k, m, d = z.shape
-    u = _rest_set_raw(z)
-    u_norms = np.linalg.norm(u, axis=-1, keepdims=True)
-    if np.any(u_norms <= NORMALIZE_EPS):
-        raise ValueError(
-            "rest-set mean has near-zero norm (antipodal views); cannot normalize"
-        )
-    q = u / u_norms
-    q_flat = q.reshape(k * m, d)
-    q_flat_t = np.ascontiguousarray(q_flat.T)
-    same_idx = np.arange(k)[:, None] * m + np.arange(m)[None, :]
-    rows = np.arange(k)[:, None]
-
-    per_sample = np.zeros(k)
-    grad_q_flat = np.zeros((k * m, d)) if want_grad else None
-    grad = np.zeros_like(z) if want_grad else None
-    scale = 1.0 / (k * m * tau)
-
-    for alpha in range(m):
-        e, same, neg_sum, _ = _poly_view_block(z, q_flat_t, alpha, tau, same_idx)
-        pos = same[:, alpha]
-        denom = pos + neg_sum
-        per_sample += (np.log(denom) - np.log(pos)) / m
-
-        if not want_grad:
-            continue
-        e *= (scale / denom)[:, None]
-        pos_coeff = np.zeros((k, m))
-        pos_coeff[:, alpha] = scale * (pos / denom - 1.0)
-        e[rows, same_idx] = pos_coeff
-        anchor = _anchor_view(z, alpha)
-        grad[:, alpha, :] += e @ q_flat
-        grad_q_flat += e.T @ anchor
-
-    result = LossResult.from_per_sample(per_sample)
+    # Pass 1: the negative sums of each anchor row in each candidate view,
+    # under that row's shift for the view.
+    neg = np.empty((ma, k, mc))
+    for tile in tiles:
+        a0, a1, b0, b1, mirrored, _ = tile
+        e = _exp_tile(a_hat, c_hat, k, tile, shift, True)
+        neg[a0:a1, :, b0:b1] = e.sum(axis=3)
+        if mirrored:
+            neg[b0:b1, :, a0:a1] = e.sum(axis=1).transpose(1, 2, 0)
+    # Positives straight from the shifted scores: (K, Ma, Mc) per-sample GEMMs.
+    same = a_hat.reshape(ma, k, -1).transpose(1, 0, 2) @ c_hat.reshape(mc, k, -1).transpose(1, 2, 0)
+    pos = same.transpose(1, 0, 2).reshape(-1)[gather]
+    if per_view:
+        neg_t = neg.reshape(-1)[gather]
+        log_neg_t = np.log(neg_t) + (shift.reshape(-1)[gather] if rowmax else 0.0)
+    else:
+        top = shift.max(axis=2, keepdims=True) if rowmax else 0.0
+        rel = np.exp(shift - top) if rowmax else 1.0
+        neg_t = (neg * rel).sum(axis=2, keepdims=True)
+        log_neg_t = np.log(neg_t) + top
+    log_denom = np.logaddexp(pos, log_neg_t)
+    log_l = pos - log_denom
+    if log_mean_exp:
+        top = log_l.max(axis=2, keepdims=True)
+        weights = np.exp(log_l - top)
+        total = weights.sum(axis=2, keepdims=True)
+        per_sample = math.log(n_t) - (top + np.log(total)).sum(axis=(0, 2)) / ma
+    else:
+        per_sample = log_l.sum(axis=(0, 2)) / (-ma * n_t)
     if not want_grad:
-        return result, None
+        return per_sample, None, None
 
-    # Chain through q = u / |u| and u_{j,v} = (sum_b z_{j,b} - z_{j,v}) / (M-1).
-    grad_q = grad_q_flat.reshape(k, m, d)
-    inner = np.sum(grad_q * q, axis=-1, keepdims=True)
-    grad_u = (grad_q - inner * q) / u_norms
-    total = grad_u.sum(axis=1, keepdims=True)
-    grad += (total - grad_u) / (m - 1)
-    return result, grad
+    # d(total)/d(score) is -w (1 - l) at each positive; at a negative of
+    # anchor row r in candidate view b it is coeff[r, b] times the tile entry.
+    share = np.exp(log_neg_t - log_denom)  # 1 - l, without cancellation
+    share *= (weights / total if log_mean_exp else 1.0 / n_t) / (k * ma * tau)
+    pos_coeff = np.zeros((ma, k, mc))
+    pos_coeff.reshape(-1)[gather] = -share
+    if per_view:
+        coeff = np.zeros((ma, k, mc))
+        coeff.reshape(-1)[gather] = share / neg_t
+    else:
+        coeff = np.broadcast_to(share.sum(axis=2, keepdims=True) * rel / neg_t, (ma, k, mc))
+    grad_a = np.einsum("aib,bid->aid", pos_coeff, cands)
+    grad_c = grad_a if cands is anchors else np.zeros_like(cands)
+    grad_c += np.einsum("aib,aid->bid", pos_coeff, anchors)
+
+    # Pass 2: recompute each tile. Rows take their anchor role, and in a
+    # symmetric tile their candidate role too, from E_ab @ [C_b | g * C_b].
+    for tile in tiles:
+        a0, a1, b0, b1, mirrored, _ = tile
+        e = _exp_tile(a_hat, c_hat, k, tile, shift, False)
+        c_rows, c_cols = coeff[a0:a1, :, b0:b1], coeff[b0:b1, :, a0:a1]
+        za, zb = anchors[a0:a1], cands[b0:b1]
+        out = e.transpose(0, 2, 1, 3) @ (_stack_rhs(zb, c_cols) if symmetric else zb)
+        grad_a[a0:a1] += np.einsum("aib,abid->aid", c_rows, out[..., :d])
+        if symmetric:
+            grad_a[a0:a1] += out[..., d:].sum(axis=1)
+        if mirrored:
+            out = e.transpose(2, 0, 3, 1) @ _stack_rhs(za, c_rows)
+            grad_a[b0:b1] += np.einsum("bja,bajd->bjd", c_cols, out[..., :d])
+            grad_a[b0:b1] += out[..., d:].sum(axis=1)
+        elif not symmetric:
+            weighted = c_rows.transpose(2, 0, 1)[..., None] * za
+            grad_c[b0:b1] += (e.transpose(2, 0, 3, 1) @ weighted).sum(axis=1)
+    return per_sample, grad_a, grad_c
 
 
-def _pair_core(z: np.ndarray, alpha: int, beta: int, tau: float, want_grad: bool,
-               pair_weight: float, grad: np.ndarray | None):
-    """Per-sample pair InfoNCE for one ordered (alpha, beta); optionally
-    accumulates the embedding gradient scaled by pair_weight."""
-    k = z.shape[0]
-    anchor = _anchor_view(z, alpha)
-    target = _anchor_view(z, beta)
-    scores = anchor @ target.T
-    scores /= tau
-    row_shift = scores.max(axis=1)
-    scores -= row_shift[:, None]
-    np.exp(scores, out=scores)
-    e = scores
-    row_sum = e.sum(axis=1)
-    diag = np.arange(k)
-    per_sample = np.log(row_sum) - np.log(e[diag, diag])
-
-    if want_grad:
-        e *= (pair_weight / tau / row_sum)[:, None]
-        e[diag, diag] -= pair_weight / tau
-        grad[:, alpha, :] += e @ target
-        grad[:, beta, :] += e.T @ anchor
-    return per_sample
+def _stack_rhs(rows, coeff):
+    """[rows | coeff * rows] per sub-block: rows (v, K, d), coeff (v, K, u)
+    -> (u, v, K, 2d)."""
+    v, k, d = rows.shape
+    out = np.empty((coeff.shape[2], v, k, 2 * d))
+    out[..., :d] = rows
+    np.multiply(coeff.transpose(2, 0, 1)[..., None], rows, out=out[..., d:])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -291,56 +292,36 @@ def loss_pair_infonce(z: EmbeddingBatch, alpha: int, beta: int, tau: float) -> L
     _check_view(z, beta, "beta")
     if alpha == beta:
         raise ValueError(f"alpha and beta must differ, both are {alpha}")
-    per_sample = _pair_core(z.z, alpha, beta, tau, False, 0.0, None)
+    zt = z.z.transpose(1, 0, 2)
+    per_sample, _, _ = _candidate_set_loss(
+        zt[alpha:alpha + 1], zt[beta:beta + 1], tau, False, False, True, False
+    )
     return LossResult.from_per_sample(per_sample)
 
 
 def loss_multicrop(z: EmbeddingBatch, tau: float) -> LossResult:
     """Mean of pair InfoNCE over all M(M-1) ordered view pairs."""
-    _check_tau(tau)
-    result, _ = _multicrop_core(z.z, tau, want_grad=False)
-    return result
-
-
-def _multicrop_core(z: np.ndarray, tau: float, want_grad: bool):
-    k, m, _ = z.shape
-    per_sample = np.zeros(k)
-    grad = np.zeros_like(z) if want_grad else None
-    n_pairs = m * (m - 1)
-    pair_weight = 1.0 / (k * n_pairs)
-    for alpha in range(m):
-        for beta in range(m):
-            if beta == alpha:
-                continue
-            per_sample += _pair_core(z, alpha, beta, tau, want_grad, pair_weight, grad)
-    per_sample /= n_pairs
-    return LossResult.from_per_sample(per_sample), grad
+    return compute_loss(Method.MULTICROP, z, tau)
 
 
 def loss_arithmetic_pvc(z: EmbeddingBatch, tau: float) -> LossResult:
     """Per sample and anchor view: -log of the arithmetic mean over target
     views of l_{i,alpha,beta}, averaged over anchor views and samples."""
-    _check_tau(tau)
-    result, _ = _pvc_core(z.z, tau, arithmetic=True, want_grad=False)
-    return result
+    return compute_loss(Method.ARITHMETIC_PVC, z, tau)
 
 
 def loss_geometric_pvc(z: EmbeddingBatch, tau: float) -> LossResult:
     """Per sample and anchor view: mean over target views of
     -log l_{i,alpha,beta} (the -log of the geometric mean), averaged over
     anchor views and samples. Always >= the arithmetic variant."""
-    _check_tau(tau)
-    result, _ = _pvc_core(z.z, tau, arithmetic=False, want_grad=False)
-    return result
+    return compute_loss(Method.GEOMETRIC_PVC, z, tau)
 
 
 def loss_suffstats(z: EmbeddingBatch, tau: float) -> LossResult:
     """Each view scores against rest-set statistics: the positive is its own
     sample's statistic, negatives are every statistic of other samples;
     same-sample statistics for other anchor views are excluded."""
-    _check_tau(tau)
-    result, _ = _suffstats_core(z.z, tau, want_grad=False)
-    return result
+    return compute_loss(Method.SUFFSTATS, z, tau)
 
 
 def _check_view(z: EmbeddingBatch, view: int, name: str) -> None:
@@ -363,16 +344,29 @@ def _loss_and_zgrad(
 ):
     """Loss plus (optionally) its exact gradient with respect to z."""
     _check_tau(tau)
-    if method is Method.INFONCE:
-        if z.m != 2:
-            raise ValueError(f"infonce requires exactly M = 2 views, got M = {z.m}")
-        return _multicrop_core(z.z, tau, want_grad)
-    if method is Method.MULTICROP:
-        return _multicrop_core(z.z, tau, want_grad)
-    if method is Method.ARITHMETIC_PVC:
-        return _pvc_core(z.z, tau, arithmetic=True, want_grad=want_grad)
-    if method is Method.GEOMETRIC_PVC:
-        return _pvc_core(z.z, tau, arithmetic=False, want_grad=want_grad)
-    if method is Method.SUFFSTATS:
-        return _suffstats_core(z.z, tau, want_grad)
-    raise ValueError(f"unknown method: {method!r}")
+    m = z.m
+    if method is Method.INFONCE and m != 2:
+        raise ValueError(f"infonce requires exactly M = 2 views, got M = {m}")
+    if not isinstance(method, Method):
+        raise ValueError(f"unknown method: {method!r}")
+    zt = np.ascontiguousarray(z.z.transpose(1, 0, 2))
+    if method is not Method.SUFFSTATS:
+        per_sample, grad, _ = _candidate_set_loss(
+            zt, zt, tau, True, method is Method.ARITHMETIC_PVC,
+            method in (Method.INFONCE, Method.MULTICROP), want_grad,
+        )
+    else:
+        # Candidates: rest-set statistics q_v = normalize((sum_b z_b - z_v) / (M-1)).
+        u = (zt.sum(axis=0) - zt) / (m - 1)
+        u_norms = np.linalg.norm(u, axis=-1, keepdims=True)
+        if np.any(u_norms <= NORMALIZE_EPS):
+            raise ValueError(
+                "rest-set mean has near-zero norm (antipodal views); cannot normalize"
+            )
+        q = u / u_norms
+        per_sample, grad, grad_q = _candidate_set_loss(zt, q, tau, False, False, False, want_grad)
+        if want_grad:
+            grad_u = (grad_q - np.sum(grad_q * q, axis=-1, keepdims=True) * q) / u_norms
+            grad += (grad_u.sum(axis=0) - grad_u) / (m - 1)
+    result = LossResult.from_per_sample(per_sample)
+    return result, (grad.transpose(1, 0, 2).copy() if want_grad else None)

@@ -223,6 +223,16 @@ class TestSweep:
         ) == 1
         assert "unknown sweep config keys" in capsys.readouterr().err
 
+    def test_wrong_value_type_is_usage_error(self, tmp_path, capsys):
+        config_path = tmp_path / "sweep.json"
+        config_path.write_text(json.dumps(
+            {"methods": ["multicrop"], "m_values": [2], "seeds": [0], "k": "8"}
+        ))
+        assert main(
+            ["sweep", "--config", str(config_path), "--out", str(tmp_path / "runs")]
+        ) == 1
+        assert "error: sweep config key 'k' must be int" in capsys.readouterr().err
+
     def test_failed_run_exits_2(self, tmp_path, capsys):
         config = {
             "methods": ["geometric"],

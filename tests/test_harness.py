@@ -8,6 +8,7 @@ the committed results/ dataset covers production scale.
 import json
 import math
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -133,6 +134,13 @@ class TestRunTraining:
         # epoch 1 trains on the same batch either way; later epochs diverge
         assert fixed.rows[1].train_loss == moving.rows[1].train_loss
         assert fixed.rows[2].train_loss != moving.rows[2].train_loss
+
+    def test_small_temperature_trains(self):
+        spec = RunSpec(method=Method.GEOMETRIC_PVC, m=4, k=64, tau=1e-3,
+                       train=TrainConfig(epochs=3), eval_batches=1)
+        record = run_training(spec)
+        assert [r.epoch for r in record.rows] == [0, 1, 2, 3]
+        assert all(math.isfinite(r.eval_loss) for r in record.rows)
 
     def test_numerical_failure_carries_partial_record(self):
         spec = tiny_spec(
@@ -283,6 +291,16 @@ class TestSweepSpec:
             committed, indent=2, sort_keys=True
         )
 
+    @pytest.mark.parametrize("key,value", [
+        ("k", "8"), ("k", True), ("eval_batches", 1.5), ("record_stride", None),
+        ("jobs", False), ("m_values", [2.0]), ("m_values", 2), ("seeds", ["0"]),
+        ("tau", "0.5"), ("sigma0_sq", True), ("sigma_sq", [0.25]),
+    ])
+    def test_wrong_value_type_rejected(self, key, value):
+        data = {**self.make().to_json_dict(), key: value}
+        with pytest.raises(ValueError, match=f"sweep config key '{key}'"):
+            SweepSpec.from_json_dict(data)
+
     def test_missing_required_key_rejected(self):
         data = self.make().to_json_dict()
         del data["seeds"]
@@ -371,6 +389,42 @@ class TestRunSweep:
         results = run_sweep(sweep, out)
         assert sorted(r.status for r in results) == ["cached"] * 3 + ["ran"]
         assert read_csv_rows(path)[-1].epoch == 2
+
+    def test_directory_with_other_settings_is_refused(self, tmp_path):
+        out = str(tmp_path)
+        first = SweepSpec(methods=(Method.GEOMETRIC_PVC,), m_values=(2,), seeds=(0,),
+                          k=16, tau=0.5, train=TrainConfig(epochs=2), eval_batches=1)
+        (result,) = run_sweep(first, out)
+        assert result.status == "ran"
+        saved = {name: (tmp_path / name).read_bytes() for name in os.listdir(out)}
+        second = SweepSpec(methods=(Method.GEOMETRIC_PVC,), m_values=(2,), seeds=(0,),
+                           k=32, tau=0.1, train=TrainConfig(epochs=2), eval_batches=1)
+        with pytest.raises(ValueError, match=r"\(k, tau differ\); use a fresh directory"):
+            run_sweep(second, out)
+        assert {name: (tmp_path / name).read_bytes() for name in os.listdir(out)} == saved
+        # Shared settings equal: more methods, views and seeds may join.
+        wider = SweepSpec(methods=(Method.GEOMETRIC_PVC, Method.MULTICROP), m_values=(2,),
+                          seeds=(0, 1), k=16, tau=0.5, train=TrainConfig(epochs=2),
+                          eval_batches=1, jobs=2)
+        assert sorted(r.status for r in run_sweep(wider, out)) == ["cached"] + ["ran"] * 3
+
+    def test_unreadable_sweep_json_is_refused(self, tmp_path):
+        (tmp_path / "sweep.json").write_text('{"k": 8')
+        sweep = SweepSpec(methods=(Method.MULTICROP,), m_values=(2,), seeds=(0,), k=8,
+                          train=TrainConfig(epochs=1), eval_batches=1)
+        with pytest.raises(ValueError, match="sweep.json is not valid JSON"):
+            run_sweep(sweep, str(tmp_path))
+        assert os.listdir(tmp_path) == ["sweep.json"]
+
+    def test_jobs_do_not_change_bytes(self, tmp_path):
+        sweep = SweepSpec(methods=(Method.SUFFSTATS, Method.MULTICROP), m_values=(3,),
+                          seeds=(0,), k=8, train=TrainConfig(epochs=2), eval_batches=1)
+        texts = []
+        for jobs in (1, 2):
+            results = run_sweep(replace(sweep, jobs=jobs), str(tmp_path / f"jobs{jobs}"))
+            assert [r.status for r in results] == ["ran", "ran"]
+            texts.append([Path(r.path).read_bytes() for r in results])
+        assert texts[0] == texts[1]
 
     def test_failed_run_leaves_partial_and_failures_json(self, tmp_path):
         out = str(tmp_path)

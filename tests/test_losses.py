@@ -9,6 +9,7 @@ against the library and oracle drifting together.
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,10 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import identical_embedding_batch, random_embedding_batch, unit_rows
+from polyview import losses, streams
 from polyview.losses import (
     EmbeddingBatch,
     LossResult,
     Method,
+    _loss_and_zgrad,
     compute_loss,
     l2_normalize,
     loss_arithmetic_pvc,
@@ -42,9 +45,7 @@ def oracle_pair_infonce(z: np.ndarray, alpha: int, beta: int, tau: float) -> np.
     out = np.zeros(k)
     for i in range(k):
         scores = [float(np.dot(z[i, alpha], z[j, beta])) / tau for j in range(k)]
-        top = max(scores)
-        lse = top + math.log(sum(math.exp(s - top) for s in scores))
-        out[i] = lse - scores[i]
+        out[i] = log_sum_exp(scores) - scores[i]
     return out
 
 
@@ -57,13 +58,16 @@ def oracle_multicrop(z: np.ndarray, tau: float) -> np.ndarray:
     return out / len(pairs)
 
 
-def oracle_likelihood(z: np.ndarray, tau: float, i: int, alpha: int, beta: int) -> float:
+def log_sum_exp(values: list[float]) -> float:
+    top = max(values)
+    return top + math.log(sum(math.exp(v - top) for v in values))
+
+
+def oracle_log_likelihood(z: np.ndarray, tau: float, i: int, alpha: int, beta: int) -> float:
     k, m, _ = z.shape
     candidates = [(i, beta)] + [(j, v) for j in range(k) if j != i for v in range(m)]
     scores = [float(np.dot(z[i, alpha], z[j, v])) / tau for j, v in candidates]
-    top = max(scores)
-    exps = [math.exp(s - top) for s in scores]
-    return exps[0] / sum(exps)
+    return scores[0] - log_sum_exp(scores)
 
 
 def oracle_pvc(z: np.ndarray, tau: float, arithmetic: bool) -> np.ndarray:
@@ -72,15 +76,15 @@ def oracle_pvc(z: np.ndarray, tau: float, arithmetic: bool) -> np.ndarray:
     for i in range(k):
         acc = 0.0
         for alpha in range(m):
-            ls = [
-                oracle_likelihood(z, tau, i, alpha, beta)
+            log_ls = [
+                oracle_log_likelihood(z, tau, i, alpha, beta)
                 for beta in range(m)
                 if beta != alpha
             ]
             if arithmetic:
-                acc += -math.log(sum(ls) / (m - 1))
+                acc += math.log(m - 1) - log_sum_exp(log_ls)
             else:
-                acc += sum(-math.log(l) for l in ls) / (m - 1)
+                acc += -sum(log_ls) / (m - 1)
         out[i] = acc / m
     return out
 
@@ -105,9 +109,7 @@ def oracle_suffstats(z: np.ndarray, tau: float) -> np.ndarray:
                 (j, v) for j in range(k) if j != i for v in range(m)
             ]
             scores = [float(np.dot(z[i, alpha], q[j, v])) / tau for j, v in candidates]
-            top = max(scores)
-            exps = [math.exp(s - top) for s in scores]
-            acc += -math.log(exps[0] / sum(exps))
+            acc += log_sum_exp(scores) - scores[0]
         out[i] = acc / m
     return out
 
@@ -342,8 +344,6 @@ ALL_LOSSES = [
 
 
 def householder(d: int, case: int) -> np.ndarray:
-    from polyview import streams
-
     v = unit_rows(streams.stream(13, streams.TEST, a=case).standard_normal(d))
     return np.eye(d) - 2.0 * np.outer(v, v)
 
@@ -400,39 +400,105 @@ class TestInvariances:
 # ---------------------------------------------------------------------------
 
 
+def off_sphere(raw: np.ndarray) -> SimpleNamespace:
+    """A batch without EmbeddingBatch's unit-norm check: central differences
+    step off the sphere, and the kernel's gradient is taken with respect to
+    the raw rows."""
+    return SimpleNamespace(z=raw, m=raw.shape[1])
+
+
+def central_differences(loss, z: np.ndarray, h: float = 1e-6) -> np.ndarray:
+    z = z.copy()
+    flat = z.reshape(-1)
+    numeric = np.zeros_like(flat)
+    for idx in range(flat.size):
+        orig = flat[idx]
+        flat[idx] = orig + h
+        hi = loss(z)
+        flat[idx] = orig - h
+        lo = loss(z)
+        flat[idx] = orig
+        numeric[idx] = (hi - lo) / (2 * h)
+    return numeric.reshape(z.shape)
+
+
+def max_relative_error(got: np.ndarray, want: np.ndarray) -> float:
+    denom = np.maximum(1.0, np.maximum(np.abs(got), np.abs(want)))
+    return float(np.max(np.abs(got - want) / denom))
+
+
 class TestEmbeddingGradients:
     @pytest.mark.parametrize("method", ALL_LOSSES + [Method.INFONCE])
     def test_analytic_matches_central_differences(self, method):
-        from polyview.losses import _multicrop_core, _pvc_core, _suffstats_core
-
-        cores = {
-            Method.INFONCE: lambda raw, want: _multicrop_core(raw, TAU, want),
-            Method.MULTICROP: lambda raw, want: _multicrop_core(raw, TAU, want),
-            Method.ARITHMETIC_PVC: lambda raw, want: _pvc_core(raw, TAU, True, want),
-            Method.GEOMETRIC_PVC: lambda raw, want: _pvc_core(raw, TAU, False, want),
-            Method.SUFFSTATS: lambda raw, want: _suffstats_core(raw, TAU, want),
-        }
-        core = cores[method]
         m = 2 if method is Method.INFONCE else 3
         batch = random_embedding_batch(3, m, 2, case=300)
-        z = batch.z.copy()
-        _, grad = core(z, True)
-
-        h = 1e-6
-        worst = 0.0
-        numeric = np.zeros_like(z)
-        flat = z.reshape(-1)
-        for idx in range(flat.size):
-            orig = flat[idx]
-            flat[idx] = orig + h
-            hi = core(z, False)[0].total
-            flat[idx] = orig - h
-            lo = core(z, False)[0].total
-            flat[idx] = orig
-            numeric.reshape(-1)[idx] = (hi - lo) / (2 * h)
-        denom = np.maximum(1.0, np.maximum(np.abs(grad), np.abs(numeric)))
-        worst = float(np.max(np.abs(grad - numeric) / denom))
+        _, grad = _loss_and_zgrad(method, batch, TAU)
+        numeric = central_differences(
+            lambda raw: _loss_and_zgrad(method, off_sphere(raw), TAU, False)[0].total, batch.z
+        )
+        worst = max_relative_error(grad, numeric)
         assert worst < 1e-5, f"{method}: max relative gradient error {worst:.3e}"
+
+
+# ---------------------------------------------------------------------------
+# Small temperatures and tiling
+# ---------------------------------------------------------------------------
+
+SMALL_TAU = 1e-3  # 2/tau > 700: every row takes its own max as the shift
+ALL_ORACLES = {Method.INFONCE: oracle_multicrop, **ORACLES}
+
+
+def for_method(method: Method, batch: EmbeddingBatch) -> EmbeddingBatch:
+    """infonce needs M = 2: it gets the first two views."""
+    return EmbeddingBatch(z=batch.z[:, :2]) if method is Method.INFONCE else batch
+
+
+def small_tau_batch() -> EmbeddingBatch:
+    """Unit-norm 16 x 4 x 8: at tau = 1e-3 the positives' exponentials
+    underflow under a per-row shift taken over every column."""
+    raw = streams.stream(0, streams.TEST, a=1).standard_normal((16, 4, 8))
+    return EmbeddingBatch(z=unit_rows(raw))
+
+
+def near_orthogonal_batch() -> EmbeddingBatch:
+    """4 x 3 x 16, each view close to its own basis vector: every cosine
+    between two views is below 0.1, so at tau = 1e-3 every score sits more
+    than 900 below the constant shift 1/tau and every row would underflow."""
+    noise = streams.stream(1, streams.TEST, a=2).standard_normal((4, 3, 16))
+    return EmbeddingBatch(z=unit_rows(np.eye(16)[:12].reshape(4, 3, 16) + 0.02 * noise))
+
+
+class TestSmallTemperature:
+    def test_near_orthogonal_rows_underflow_the_constant_shift(self):
+        flat = near_orthogonal_batch().z.reshape(12, 16)
+        cosines = (flat @ flat.T)[~np.eye(12, dtype=bool)]
+        assert np.all(np.exp((cosines - 1.0) / SMALL_TAU) == 0.0)
+
+    @pytest.mark.parametrize("make", [small_tau_batch, near_orthogonal_batch])
+    @pytest.mark.parametrize("method", list(ALL_ORACLES))
+    def test_finite_and_matches_log_space_oracle(self, method, make):
+        batch = for_method(method, make())
+        result, grad = _loss_and_zgrad(method, batch, SMALL_TAU)
+        assert math.isfinite(result.total)
+        assert np.isfinite(grad).all()
+        want = ALL_ORACLES[method](batch.z, SMALL_TAU)
+        np.testing.assert_allclose(result.per_sample, want, rtol=0, atol=1e-12)
+
+
+class TestTiling:
+    @pytest.mark.parametrize("tile_rows", [1, 8])
+    @pytest.mark.parametrize("tau", [TAU, SMALL_TAU])
+    @pytest.mark.parametrize("method", list(ALL_ORACLES))
+    def test_multi_tile_matches_oracles(self, monkeypatch, method, tau, tile_rows):
+        # K = 4: one view per tile, or two with a ragged last tile at M = 3.
+        monkeypatch.setattr(losses, "_TILE_ROWS", tile_rows)
+        batch = for_method(method, random_embedding_batch(4, 3, 3, case=400))
+        oracle = ALL_ORACLES[method]
+        result, grad = _loss_and_zgrad(method, batch, tau)
+        np.testing.assert_allclose(result.per_sample, oracle(batch.z, tau), rtol=0, atol=1e-12)
+        numeric = central_differences(lambda raw: float(oracle(raw, tau).mean()), batch.z)
+        err = max_relative_error(grad, numeric)
+        assert err < 1e-5, f"{method}: max relative gradient error {err:.3e}"
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import unit_rows
-from polyview import streams
+from polyview import losses, streams
 from polyview.losses import Method, compute_loss
 from polyview.tinynn import (
     D_HIDDEN,
@@ -225,6 +225,18 @@ class TestGradients:
         result, _ = loss_and_grads(params, views, Method.MULTICROP, 0.5)
         direct = compute_loss(Method.MULTICROP, forward(params, views), 0.5)
         assert result.total == pytest.approx(direct.total, abs=1e-15)
+
+    @pytest.mark.parametrize("tile_rows", [16, 1024])
+    @pytest.mark.parametrize("tau", [0.5, 1e-3])
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    def test_step_loss_equals_compute_loss_bitwise(self, monkeypatch, method, tau, tile_rows):
+        # K = 16: one view per tile, or the whole batch in one tile.
+        monkeypatch.setattr(losses, "_TILE_ROWS", tile_rows)
+        m = 2 if method is Method.INFONCE else 4
+        params = init_params(rng_for(11))
+        views = random_views(16, m, case=7)
+        result, _ = loss_and_grads(params, views, method, tau)
+        assert result.total == compute_loss(method, forward(params, views), tau).total
 
 
 class TestAdamW:
