@@ -43,6 +43,7 @@ from .gaussian_world import (
 from .losses import (
     EmbeddingBatch,
     Method,
+    _NumericalError,
     compute_loss,
     l2_normalize,
     loss_multicrop,
@@ -230,7 +231,8 @@ def _eval_row(spec: RunSpec, params, epoch: int, train_loss: float | None) -> Ru
 def run_training(spec: RunSpec) -> RunRecord:
     """Train the run described by spec, recording epoch 0, every
     record_stride epochs, and the final epoch. Raises NumericalFailure
-    (with the partial record) if any loss or parameter goes non-finite."""
+    (with the partial record) if any loss or parameter goes non-finite or a
+    norm fails; any other error propagates."""
     params = init_params(streams.stream(spec.seed, streams.INIT))
     state = AdamWState.initial()
     cfg = spec.gaussian()
@@ -243,11 +245,11 @@ def run_training(spec: RunSpec) -> RunRecord:
         try:
             result, grads = loss_and_grads(params, batch.views, spec.method, spec.tau)
             if not math.isfinite(result.total):
-                raise ValueError(f"training loss is {result.total}")
+                raise _NumericalError(f"training loss is {result.total}")
             params, state = adamw_step(params, grads, state, spec.train)
             if epoch % spec.record_stride == 0 or epoch == spec.train.epochs:
                 rows.append(_eval_row(spec, params, epoch, result.total))
-        except (ValueError, FloatingPointError) as exc:
+        except (_NumericalError, FloatingPointError) as exc:
             raise NumericalFailure(
                 f"numerical failure at epoch {epoch}: {exc}",
                 RunRecord(spec=spec, rows=tuple(rows)),

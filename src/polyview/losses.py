@@ -46,6 +46,10 @@ _SHIFT_LIMIT = 700.0
 _TILE_ROWS = 1024
 
 
+class _NumericalError(ValueError):
+    """A non-finite value, a zero or non-unit norm: the arithmetic failed."""
+
+
 class Method(enum.Enum):
     """Dispatch tag for the five objectives. Values are the CLI tokens."""
 
@@ -81,11 +85,11 @@ class EmbeddingBatch:
         if k < 2 or m < 2 or d < 1:
             raise ValueError(f"need K >= 2, M >= 2, d >= 1, got {z.shape}")
         if not np.isfinite(z).all():
-            raise ValueError("embeddings contain non-finite values")
+            raise _NumericalError("embeddings contain non-finite values")
         norms = np.linalg.norm(z, axis=-1)
         worst = float(np.abs(norms - 1.0).max())
         if worst > 1e-12:
-            raise ValueError(f"rows must be unit norm within 1e-12, worst error {worst:.3e}")
+            raise _NumericalError(f"rows must be unit norm within 1e-12, worst error {worst:.3e}")
 
     @property
     def m(self) -> int:
@@ -101,7 +105,6 @@ class LossResult:
 
     @classmethod
     def from_per_sample(cls, per_sample: np.ndarray) -> "LossResult":
-        per_sample = np.asarray(per_sample, dtype=np.float64)
         return cls(total=float(per_sample.mean()), per_sample=per_sample)
 
 
@@ -113,7 +116,7 @@ def l2_normalize(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     norms = np.linalg.norm(v, axis=-1, keepdims=True)
     if np.any(norms <= NORMALIZE_EPS):
-        raise ValueError("cannot normalize a zero or subnormal vector")
+        raise _NumericalError("cannot normalize a zero or subnormal vector")
     return v / norms
 
 
@@ -162,16 +165,17 @@ def _exp_tile(a_hat, c_hat, k, tile, shift, fill):
     same-sample entry zero. shift is None under the constant shift; else the
     per-row, per-view shifts, which fill takes from this tile's maxima."""
     a0, a1, b0, b1, _, same = tile
-    s = a_hat[a0 * k:a1 * k] @ c_hat[b0 * k:b1 * k].T
-    e = s.reshape(a1 - a0, k, b1 - b0, k)
+    s = a_hat[..., a0 * k:a1 * k, :] @ np.swapaxes(c_hat[..., b0 * k:b1 * k, :], -1, -2)
+    lead = s.shape[:-2]
+    e = s.reshape(*lead, a1 - a0, k, b1 - b0, k)
     if shift is None:
         np.exp(s, out=s)
-        s.reshape(-1)[same] = 0.0
+        s.reshape(*lead, -1)[..., same] = 0.0
         return e
-    s.reshape(-1)[same] = -np.inf
-    block = shift[a0:a1, :, b0:b1]
+    s.reshape(*lead, -1)[..., same] = -np.inf
+    block = shift[..., a0:a1, :, b0:b1]
     if fill:
-        block[...] = e.max(axis=3)
+        block[...] = e.max(axis=-1)
     e -= block[..., None]
     return np.exp(e, out=e)
 
@@ -180,56 +184,57 @@ def _candidate_set_loss(anchors, cands, tau, others, log_mean_exp, per_view, wan
     """Per-sample loss and optional gradients of one candidate-set objective.
 
     anchors (Ma, K, d) and cands (Mc, K, d) are view-major unit rows; pass
-    the same array for both when the candidates are the anchor views. The
+    the same array for both when the candidates are the anchor views. A
+    loss-only call may stack batches on leading axes of both. The
     positives of anchor (alpha, i) are its own sample's candidates in every
     other view (others) or in view alpha. Its negatives are the candidates
     of every other sample: in the positive's view only (per_view), or in
     every view. Returns (per_sample, grad_anchors, grad_cands); the two
     gradients are one array when anchors is cands.
     """
-    ma, k, d = anchors.shape
-    mc = cands.shape[0]
+    *lead, ma, k, d = anchors.shape
+    mc = cands.shape[-3]
     rowmax = 2.0 / tau > _SHIFT_LIMIT
     symmetric = cands is anchors and not rowmax
     targets, tiles, gather = _plan(others, per_view, ma, mc, k, symmetric, _TILE_ROWS)
     n_t = targets.shape[1]
-    fold = np.full(d + 1, 1.0 / tau)
-    fold[d] = -1.0 / tau
-    c_hat = np.concatenate((cands.reshape(-1, d), np.ones((mc * k, 1))), axis=1)
+    fold = np.append(np.full(d, 1.0 / tau), -1.0 / tau)
+    c_hat = np.concatenate((cands.reshape(*lead, -1, d), np.ones((*lead, mc * k, 1))), axis=-1)
     a_hat = c_hat if cands is anchors else np.concatenate(
-        (anchors.reshape(-1, d), np.ones((ma * k, 1))), axis=1)
+        (anchors.reshape(*lead, -1, d), np.ones((*lead, ma * k, 1))), axis=-1)
     a_hat = a_hat * fold
-    shift = np.zeros((ma, k, mc)) if rowmax else None
+    shift = np.zeros((*lead, ma, k, mc)) if rowmax else None
 
     # Pass 1: the negative sums of each anchor row in each candidate view,
     # under that row's shift for the view.
-    neg = np.empty((ma, k, mc))
+    neg = np.empty((*lead, ma, k, mc))
     for tile in tiles:
         a0, a1, b0, b1, mirrored, _ = tile
         e = _exp_tile(a_hat, c_hat, k, tile, shift, True)
-        neg[a0:a1, :, b0:b1] = e.sum(axis=3)
+        neg[..., a0:a1, :, b0:b1] = e.sum(axis=-1)
         if mirrored:
-            neg[b0:b1, :, a0:a1] = e.sum(axis=1).transpose(1, 2, 0)
+            neg[..., b0:b1, :, a0:a1] = np.moveaxis(e.sum(axis=-3), -3, -1)
     # Positives straight from the shifted scores: (K, Ma, Mc) per-sample GEMMs.
-    same = a_hat.reshape(ma, k, -1).transpose(1, 0, 2) @ c_hat.reshape(mc, k, -1).transpose(1, 2, 0)
-    pos = same.transpose(1, 0, 2).reshape(-1)[gather]
+    same = (a_hat.reshape(*lead, ma, k, -1).swapaxes(-3, -2)
+            @ np.moveaxis(c_hat.reshape(*lead, mc, k, -1), -3, -1))
+    pos = np.take(same.swapaxes(-3, -2).reshape(*lead, -1), gather, -1)
     if per_view:
-        neg_t = neg.reshape(-1)[gather]
-        log_neg_t = np.log(neg_t) + (shift.reshape(-1)[gather] if rowmax else 0.0)
+        neg_t = np.take(neg.reshape(*lead, -1), gather, -1)
+        log_neg_t = np.log(neg_t) + (np.take(shift.reshape(*lead, -1), gather, -1) if rowmax else 0.0)
     else:
-        top = shift.max(axis=2, keepdims=True) if rowmax else 0.0
+        top = shift.max(axis=-1, keepdims=True) if rowmax else 0.0
         rel = np.exp(shift - top) if rowmax else 1.0
-        neg_t = (neg * rel).sum(axis=2, keepdims=True)
+        neg_t = (neg * rel).sum(axis=-1, keepdims=True)
         log_neg_t = np.log(neg_t) + top
     log_denom = np.logaddexp(pos, log_neg_t)
     log_l = pos - log_denom
     if log_mean_exp:
-        top = log_l.max(axis=2, keepdims=True)
+        top = log_l.max(axis=-1, keepdims=True)
         weights = np.exp(log_l - top)
-        total = weights.sum(axis=2, keepdims=True)
-        per_sample = math.log(n_t) - (top + np.log(total)).sum(axis=(0, 2)) / ma
+        total = weights.sum(axis=-1, keepdims=True)
+        per_sample = math.log(n_t) - (top + np.log(total)).sum(axis=(-3, -1)) / ma
     else:
-        per_sample = log_l.sum(axis=(0, 2)) / (-ma * n_t)
+        per_sample = log_l.sum(axis=(-3, -1)) / (-ma * n_t)
     if not want_grad:
         return per_sample, None, None
 
@@ -288,8 +293,9 @@ def loss_pair_infonce(z: EmbeddingBatch, alpha: int, beta: int, tau: float) -> L
     """K-way softmax InfoNCE: anchor view alpha, candidates view beta of
     every sample. Collapsed embeddings give ln K."""
     _check_tau(tau)
-    _check_view(z, alpha, "alpha")
-    _check_view(z, beta, "beta")
+    for name, view in (("alpha", alpha), ("beta", beta)):
+        if not 0 <= view < z.m:
+            raise ValueError(f"{name} must be in [0, {z.m}), got {view}")
     if alpha == beta:
         raise ValueError(f"alpha and beta must differ, both are {alpha}")
     zt = z.z.transpose(1, 0, 2)
@@ -324,49 +330,43 @@ def loss_suffstats(z: EmbeddingBatch, tau: float) -> LossResult:
     return compute_loss(Method.SUFFSTATS, z, tau)
 
 
-def _check_view(z: EmbeddingBatch, view: int, name: str) -> None:
-    if not 0 <= view < z.m:
-        raise ValueError(f"{name} must be in [0, {z.m}), got {view}")
-
-
 def compute_loss(method: Method, z: EmbeddingBatch, tau: float) -> LossResult:
     """Dispatch to the objective named by method.
 
     INFONCE is the symmetric two-view pair loss and requires M = 2; at M = 2
     it coincides with MULTICROP.
     """
-    result, _ = _loss_and_zgrad(method, z, tau, want_grad=False)
-    return result
+    return _loss_and_zgrad(method, z, tau, want_grad=False)[0]
 
 
-def _loss_and_zgrad(
-    method: Method, z: EmbeddingBatch, tau: float, want_grad: bool = True
-):
+def _loss_and_zgrad(method: Method, z: EmbeddingBatch, tau: float, want_grad: bool = True):
     """Loss plus (optionally) its exact gradient with respect to z."""
     _check_tau(tau)
-    m = z.m
-    if method is Method.INFONCE and m != 2:
-        raise ValueError(f"infonce requires exactly M = 2 views, got M = {m}")
+    if method is Method.INFONCE and z.m != 2:
+        raise ValueError(f"infonce requires exactly M = 2 views, got M = {z.m}")
     if not isinstance(method, Method):
         raise ValueError(f"unknown method: {method!r}")
-    zt = np.ascontiguousarray(z.z.transpose(1, 0, 2))
-    if method is not Method.SUFFSTATS:
-        per_sample, grad, _ = _candidate_set_loss(
-            zt, zt, tau, True, method is Method.ARITHMETIC_PVC,
-            method in (Method.INFONCE, Method.MULTICROP), want_grad,
-        )
-    else:
-        # Candidates: rest-set statistics q_v = normalize((sum_b z_b - z_v) / (M-1)).
-        u = (zt.sum(axis=0) - zt) / (m - 1)
-        u_norms = np.linalg.norm(u, axis=-1, keepdims=True)
-        if np.any(u_norms <= NORMALIZE_EPS):
-            raise ValueError(
-                "rest-set mean has near-zero norm (antipodal views); cannot normalize"
-            )
-        q = u / u_norms
-        per_sample, grad, grad_q = _candidate_set_loss(zt, q, tau, False, False, False, want_grad)
-        if want_grad:
-            grad_u = (grad_q - np.sum(grad_q * q, axis=-1, keepdims=True) * q) / u_norms
-            grad += (grad_u.sum(axis=0) - grad_u) / (m - 1)
+    per_sample, grad = _per_sample_loss(method, z.z.transpose(1, 0, 2).copy(), tau, want_grad)
     result = LossResult.from_per_sample(per_sample)
     return result, (grad.transpose(1, 0, 2).copy() if want_grad else None)
+
+
+def _per_sample_loss(method: Method, zt: np.ndarray, tau: float, want_grad: bool):
+    """Per-sample losses (..., K) of view-major unit rows zt (..., M, K, d),
+    and the gradient w.r.t. zt of a single batch (M, K, d) if want_grad."""
+    if method is not Method.SUFFSTATS:
+        return _candidate_set_loss(zt, zt, tau, True, method is Method.ARITHMETIC_PVC,
+                                   method in (Method.INFONCE, Method.MULTICROP), want_grad)[:2]
+    # Candidates: rest-set statistics q_v = normalize((sum_b z_b - z_v) / (M-1)).
+    m = zt.shape[-3]
+    u = (zt.sum(axis=-3, keepdims=True) - zt) / (m - 1)
+    u_norms = np.linalg.norm(u, axis=-1, keepdims=True)
+    if np.any(u_norms <= NORMALIZE_EPS):
+        raise _NumericalError(
+            "rest-set mean has near-zero norm (antipodal views); cannot normalize")
+    q = u / u_norms
+    per_sample, grad, grad_q = _candidate_set_loss(zt, q, tau, False, False, False, want_grad)
+    if want_grad:
+        grad_u = (grad_q - np.sum(grad_q * q, axis=-1, keepdims=True) * q) / u_norms
+        grad += (grad_u.sum(axis=0) - grad_u) / (m - 1)
+    return per_sample, grad

@@ -4,7 +4,9 @@ The encoder maps each scalar view through two affine layers with an exact
 erf-form GeLU between them, then l2-normalizes each 32-dim output. All
 gradients (through normalization, scoring, and each contrastive loss) are
 derived by hand and checked against the central finite-difference oracle in
-this module; no autodiff anywhere.
+this module; no autodiff anywhere. The oracle scores every perturbed
+parameter set through the same encoder and loss kernel, a chunk of sets at
+a time on a leading set axis.
 
 Everything is float64 and functional: forward, loss_and_grads and adamw_step
 take and return immutable dataclasses, so equal inputs give bit-equal outputs.
@@ -18,13 +20,24 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf
 
-from .losses import EmbeddingBatch, LossResult, Method, _loss_and_zgrad, compute_loss
+from .losses import (
+    EmbeddingBatch,
+    LossResult,
+    Method,
+    _loss_and_zgrad,
+    _NumericalError,
+    _per_sample_loss,
+    compute_loss,
+)
 
 D_IN = 1
 D_HIDDEN = 32
 D_OUT = 32
 
 _PARAM_FIELDS = ("w1", "b1", "w2", "b2")
+# Perturbed parameter sets per oracle pass. Speed is flat from 32 to 256 sets;
+# memory is not: a set's stacked weights and scores take about 30 KiB.
+_FD_CHUNK = 32
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -51,7 +64,7 @@ class MlpParams:
             if arr.shape != want:
                 raise ValueError(f"{name} must have shape {want}, got {arr.shape}")
             if not np.isfinite(arr).all():
-                raise ValueError(f"{name} contains non-finite values")
+                raise _NumericalError(f"{name} contains non-finite values")
 
     @classmethod
     def zeros(cls) -> "MlpParams":
@@ -141,28 +154,33 @@ def gelu_grad(x: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + erf(x * _INV_SQRT2)) + x * phi
 
 
-def _forward_trace(params: MlpParams, views: np.ndarray):
-    """Forward pass keeping the intermediates the backward pass needs."""
+def _forward_trace(views: np.ndarray, w1, b1, w2, b2):
+    """Forward pass keeping the intermediates the backward pass needs.
+
+    The weights may carry a leading parameter-set axis (a bias then has
+    shape (S, 1, n)); the outputs broadcast over it, so a first layer whose
+    weights carry no set axis is computed once for every set.
+    """
     views = np.asarray(views, dtype=np.float64)
     if views.ndim != 2:
         raise ValueError(f"views must be (K, M), got shape {views.shape}")
     if not np.isfinite(views).all():
-        raise ValueError("views contain non-finite values")
+        raise _NumericalError("views contain non-finite values")
     k, m = views.shape
     x = views.reshape(k * m, D_IN)
-    h1 = x @ params.w1.T + params.b1
+    h1 = x @ np.swapaxes(w1, -1, -2) + b1
     a1 = gelu(h1)
-    h2 = a1 @ params.w2.T + params.b2
-    norms = np.linalg.norm(h2, axis=1, keepdims=True)
+    h2 = a1 @ np.swapaxes(w2, -1, -2) + b2
+    norms = np.linalg.norm(h2, axis=-1, keepdims=True)
     if np.any(norms <= 1e-30):
-        raise ValueError("encoder produced a zero pre-normalization vector")
+        raise _NumericalError("encoder produced a zero pre-normalization vector")
     z = h2 / norms
-    return x, h1, a1, h2, norms, z.reshape(k, m, D_OUT)
+    return x, h1, a1, h2, norms, z.reshape(*z.shape[:-2], k, m, D_OUT)
 
 
 def forward(params: MlpParams, views: np.ndarray) -> EmbeddingBatch:
     """Encode a K x M batch of scalar views into unit-norm 32-dim embeddings."""
-    return EmbeddingBatch(z=_forward_trace(params, views)[-1])
+    return EmbeddingBatch(z=_forward_trace(views, **params.as_dict())[-1])
 
 
 def loss_and_grads(
@@ -170,7 +188,7 @@ def loss_and_grads(
 ) -> tuple[LossResult, MlpParams]:
     """One fused pass: compute_loss(method, forward(params, views), tau) plus
     its exact gradient with respect to every parameter, in MlpParams shape."""
-    x, h1, a1, h2, norms, z = _forward_trace(params, views)
+    x, h1, a1, h2, norms, z = _forward_trace(views, **params.as_dict())
     result, dz = _loss_and_zgrad(method, EmbeddingBatch(z=z), tau, want_grad=True)
     dz_flat = dz.reshape(-1, D_OUT)
 
@@ -196,30 +214,53 @@ def finite_difference_grads(
     h: float = 1e-6,
 ) -> MlpParams:
     """Central-difference gradient oracle: perturbs every parameter entry by
-    +/- h and differences the scalar loss. O(#params) forward passes; meant
-    for small batches only."""
+    +/- h and differences the scalar loss, (L(+h) - L(-h)) / 2h.
 
-    def loss_at(p: MlpParams) -> float:
-        return compute_loss(method, forward(p, views), tau).total
-
-    # Contiguous copies so the in-place perturbations below are views.
-    work = MlpParams(**{name: getattr(params, name).copy() for name in _PARAM_FIELDS})
-    out = {}
+    Each of the 2 * #params perturbed sets is scored as
+    compute_loss(method, forward(set, views), tau).total would score it, with
+    the same checks on each set, but _FD_CHUNK sets at a time: one stacked
+    encoder pass and one loss-kernel pass per chunk, and a chunk that
+    perturbs only the second layer shares one first layer. Meant for small
+    batches only.
+    """
+    # One unperturbed evaluation checks the views, method and tau as the
+    # first evaluation of a per-entry loop would.
+    compute_loss(method, forward(params, views), tau)
+    losses = _perturbed_losses(params.as_dict(), views, method, tau, h)
+    grads = (losses[0::2] - losses[1::2]) / (2.0 * h)
+    out, start = {}, 0
     for name in _PARAM_FIELDS:
-        base = getattr(work, name)
-        grad = np.zeros_like(base)
-        flat = base.reshape(-1)
-        gflat = grad.reshape(-1)
-        for idx in range(flat.size):
-            orig = flat[idx]
-            flat[idx] = orig + h
-            up = loss_at(work)
-            flat[idx] = orig - h
-            down = loss_at(work)
-            flat[idx] = orig
-            gflat[idx] = (up - down) / (2.0 * h)
-        out[name] = grad
+        arr = getattr(params, name)
+        out[name] = grads[start:start + arr.size].reshape(arr.shape)
+        start += arr.size
     return MlpParams(**out)
+
+
+def _perturbed_losses(base: dict, views, method: Method, tau: float, h: float) -> np.ndarray:
+    """Losses of the parameter sets that perturb flat entry j (w1, b1, w2, b2
+    in order) by +h (set 2j) and -h (set 2j + 1), _FD_CHUNK sets per pass."""
+    offsets = np.cumsum([0] + [base[name].size for name in _PARAM_FIELDS])
+    n_sets = 2 * int(offsets[-1])
+    losses = np.empty(n_sets)
+    for first in range(0, n_sets, _FD_CHUNK):
+        sets = np.arange(first, min(first + _FD_CHUNK, n_sets))
+        entry, step = sets // 2, np.where(sets % 2 == 0, h, -h)
+        weights = {}
+        for name, lo, hi in zip(_PARAM_FIELDS, offsets[:-1], offsets[1:]):
+            hit = np.flatnonzero((entry >= lo) & (entry < hi))
+            if hit.size == 0:
+                weights[name] = base[name]
+                continue
+            stack = np.repeat(base[name][None], sets.size, axis=0)
+            stack.reshape(sets.size, -1)[hit, entry[hit] - lo] += step[hit]
+            weights[name] = stack if stack.ndim == 3 else stack[:, None, :]
+        z = _forward_trace(views, **weights)[-1]
+        # EmbeddingBatch checks each row, so one batch of every set's samples
+        # checks the whole chunk.
+        EmbeddingBatch(z=z.reshape(-1, *z.shape[-2:]))
+        zt = np.ascontiguousarray(np.swapaxes(z, -3, -2))
+        losses[sets] = _per_sample_loss(method, zt, tau, False)[0].mean(axis=-1)
+    return losses
 
 
 def max_relative_grad_error(analytic: MlpParams, numeric: MlpParams) -> float:

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from polyview import harness
 from polyview.bounds import bound_from_loss, variance_bound_factor
 from polyview.gaussian_world import true_one_vs_rest_mi
 from polyview.harness import (
@@ -153,6 +154,16 @@ class TestRunTraining:
         partial = excinfo.value.record
         assert isinstance(partial, RunRecord)
         assert [r.epoch for r in partial.rows] == [0]
+
+    def test_non_numerical_value_error_propagates(self, monkeypatch):
+        # A programming error is not a numerical failure: it must not end the
+        # run as "numerical failure at epoch N" with a partial record.
+        def broken_step(params, grads, state, cfg):
+            raise ValueError("gradient shape mismatch for w1")
+
+        monkeypatch.setattr(harness, "adamw_step", broken_step)
+        with pytest.raises(ValueError, match="gradient shape mismatch for w1"):
+            run_training(tiny_spec())
 
     def test_eval_failure_also_wrapped(self):
         # with per-epoch recording the blow-up is first seen by the eval pass

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import unit_rows
-from polyview import losses, streams
+from polyview import losses, streams, tinynn
 from polyview.losses import Method, compute_loss
 from polyview.tinynn import (
     D_HIDDEN,
@@ -33,6 +33,8 @@ from polyview.tinynn import (
     max_relative_grad_error,
 )
 
+PARAM_NAMES = ("w1", "b1", "w2", "b2")
+
 ALL_METHODS = [
     Method.INFONCE,
     Method.MULTICROP,
@@ -48,6 +50,43 @@ def rng_for(case: int) -> np.random.Generator:
 
 def random_views(k: int, m: int, case: int) -> np.ndarray:
     return rng_for(1000 + case).normal(0.0, 1.0, size=(k, m))
+
+
+def loop_finite_difference_grads(params, views, method, tau, h=1e-6, set_losses=None):
+    """The per-entry loop that the batched oracle replaced: one
+    compute_loss(forward(...)) per perturbed parameter set. If set_losses is
+    a list, each set's loss is appended to it in the batched oracle's set
+    order: +h then -h for each flat entry of w1, b1, w2, b2 in turn."""
+
+    def loss_at(p: MlpParams) -> float:
+        return compute_loss(method, forward(p, views), tau).total
+
+    # Contiguous copies so the in-place perturbations below are views.
+    work = MlpParams(**{name: getattr(params, name).copy() for name in PARAM_NAMES})
+    out = {}
+    for name in PARAM_NAMES:
+        base = getattr(work, name)
+        grad = np.zeros_like(base)
+        flat = base.reshape(-1)
+        gflat = grad.reshape(-1)
+        for idx in range(flat.size):
+            orig = flat[idx]
+            flat[idx] = orig + h
+            up = loss_at(work)
+            flat[idx] = orig - h
+            down = loss_at(work)
+            flat[idx] = orig
+            gflat[idx] = (up - down) / (2.0 * h)
+            if set_losses is not None:
+                set_losses += [up, down]
+        out[name] = grad
+    return MlpParams(**out)
+
+
+def collapsed_params() -> MlpParams:
+    """w1 = 0: every view maps to the same embedding."""
+    base = init_params(rng_for(8))
+    return MlpParams(w1=np.zeros((D_HIDDEN, D_IN)), b1=base.b1, w2=base.w2, b2=base.b2)
 
 
 class TestGelu:
@@ -201,10 +240,7 @@ class TestGradients:
         # Constant encoder output: w1 = 0 so every view maps to the same
         # embedding. The loss sits at its collapse value; gradients there
         # must still match finite differences.
-        base = init_params(rng_for(8))
-        params = MlpParams(
-            w1=np.zeros((D_HIDDEN, D_IN)), b1=base.b1, w2=base.w2, b2=base.b2
-        )
+        params = collapsed_params()
         views = random_views(3, 2, case=4)
         for method in (Method.GEOMETRIC_PVC, Method.MULTICROP):
             analytic = loss_and_grads(params, views, method, 0.5)[1]
@@ -237,6 +273,67 @@ class TestGradients:
         views = random_views(16, m, case=7)
         result, _ = loss_and_grads(params, views, method, tau)
         assert result.total == compute_loss(method, forward(params, views), tau).total
+
+
+class TestBatchedOracle:
+    """finite_difference_grads scores its perturbed parameter sets in chunks
+    on a leading set axis; the per-entry loop above is its reference."""
+
+    @pytest.mark.parametrize("tile_rows, chunk", [(1024, tinynn._FD_CHUNK), (8, 96)])
+    @pytest.mark.parametrize("tau", [0.5, 1e-3])
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    def test_set_losses_equal_compute_loss(self, monkeypatch, method, tau, tile_rows, chunk):
+        # K = 4: one tile, or tiles of two views with a mirrored, ragged one
+        # at M = 3. 96 sets per chunk do not divide the 2,240 sets, and one
+        # chunk holds both first- and second-layer perturbations.
+        monkeypatch.setattr(losses, "_TILE_ROWS", tile_rows)
+        monkeypatch.setattr(tinynn, "_FD_CHUNK", chunk)
+        params = init_params(rng_for(18))
+        views = random_views(4, 2 if method is Method.INFONCE else 3, case=8)
+        want = []
+        loop_finite_difference_grads(params, views, method, tau, set_losses=want)
+        got = tinynn._perturbed_losses(params.as_dict(), views, method, tau, 1e-6)
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("case", ["batch_4x3", "collapsed", "small_tau"])
+    def test_matches_loop_oracle(self, case):
+        params, views, method, tau = {
+            "batch_4x3": (init_params(rng_for(19)), random_views(4, 3, case=9),
+                          Method.SUFFSTATS, 0.5),
+            "collapsed": (collapsed_params(), random_views(3, 2, case=4),
+                          Method.GEOMETRIC_PVC, 0.5),
+            "small_tau": (init_params(rng_for(20)), random_views(4, 3, case=10),
+                          Method.ARITHMETIC_PVC, 1e-3),
+        }[case]
+        want = loop_finite_difference_grads(params, views, method, tau)
+        got = finite_difference_grads(params, views, method, tau)
+        for name in PARAM_NAMES:
+            g, w = getattr(got, name), getattr(want, name)
+            assert np.all(np.abs(g - w) <= 1e-8 * np.maximum(1.0, np.abs(w))), name
+
+    def test_leaves_params_unmodified(self):
+        params = init_params(rng_for(21))
+        before = {name: getattr(params, name).copy() for name in PARAM_NAMES}
+        finite_difference_grads(params, random_views(3, 3, case=11), Method.MULTICROP, 0.5)
+        for name in PARAM_NAMES:
+            np.testing.assert_array_equal(getattr(params, name), before[name])
+
+    def test_same_errors_as_loop(self):
+        params = init_params(rng_for(22))
+        views = random_views(3, 2, case=12)
+        views[1, 0] = float("nan")
+        # b1 = 0 and b2 = 0 with w1 = 0: every unperturbed hidden unit and
+        # output is exactly zero.
+        dead = MlpParams(w1=np.zeros((D_HIDDEN, D_IN)), b1=np.zeros(D_HIDDEN),
+                         w2=params.w2, b2=np.zeros(D_OUT))
+        for p, v, text in ((params, views, "non-finite"),
+                           (dead, random_views(3, 2, case=12), "zero pre-normalization")):
+            messages = []
+            for oracle in (loop_finite_difference_grads, finite_difference_grads):
+                with pytest.raises(ValueError, match=text) as excinfo:
+                    oracle(p, v, Method.MULTICROP, 0.5)
+                messages.append(str(excinfo.value))
+            assert messages[0] == messages[1]
 
 
 class TestAdamW:
