@@ -28,6 +28,7 @@ from .gaussian_world import (
     true_one_vs_rest_mi,
 )
 from .harness import (
+    CHECK_SUITES,
     NumericalFailure,
     RunSpec,
     SweepSpec,
@@ -107,8 +108,7 @@ def _build_parser() -> _Parser:
     _add_spec_args(p, "k", "tau", "seed", "sigma0_sq", "sigma_sq")
 
     p = sub.add_parser("check", help="run a self-check suite")
-    p.add_argument("--suite", required=True,
-                   choices=["oracles", "grads", "identities", "invariants"])
+    p.add_argument("--suite", required=True, choices=list(CHECK_SUITES))
     return parser
 
 
@@ -136,6 +136,8 @@ def _run_spec(args, method: Method, **settings) -> RunSpec:
 
 
 def _cmd_train(args) -> int:
+    if not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise _UsageError(f"train: the directory of --out {args.out} does not exist")
     spec = _run_spec(
         args,
         Method.from_token(args.method),
@@ -187,10 +189,12 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    dat_path = os.path.splitext(args.out)[0] + ".dat"
+    if dat_path == args.out:
+        raise _UsageError(f"report: --out {args.out} is also the path of its .dat table")
     table = aggregate(args.in_dir)
     with open(args.out, "w", newline="") as fh:
         fh.write(table.to_csv_text())
-    dat_path = os.path.splitext(args.out)[0] + ".dat"
     with open(dat_path, "w") as fh:
         fh.write(table.to_gnuplot_text())
     print(f"wrote {args.out} and {dat_path} ({len(table.rows)} groups)")
@@ -235,10 +239,7 @@ def main(argv: list[str] | None = None) -> int:
             "check": _cmd_check,
         }[args.command]
         return handler(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (_UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

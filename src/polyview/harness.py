@@ -1,5 +1,7 @@
 """Experiment runner: seeded training runs, M-sweeps, variance and validity
-studies, aggregation, and self-check suites.
+studies, aggregation, and the acceptance checks: one function per exact
+criterion (01, 02, 03a, 03c, 04, 05), which both tests/test_acceptance.py
+and `polyview check` run, grouped into the suites of CHECK_SUITES.
 
 Every run is a pure function of its RunSpec: parameters come from the INIT
 stream, epoch t trains on the TRAIN_BATCH stream keyed by t, and recorded
@@ -19,23 +21,17 @@ import io
 import json
 import math
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
 from . import streams
-from .bounds import (
-    bound_from_loss,
-    mi_gap,
-    offset_c,
-    optimal_multiplicity,
-    variance_bound_factor,
-)
+from .bounds import bound_from_loss, mi_gap, variance_bound_factor
 from .gaussian_world import (
     GaussianConfig,
-    conditional_convergence_probe,
-    mi_infomax_limit,
     mi_via_gaussian_kl,
     sample_batch,
     true_one_vs_rest_mi,
@@ -46,7 +42,6 @@ from .losses import (
     _NumericalError,
     compute_loss,
     l2_normalize,
-    loss_multicrop,
     loss_pair_infonce,
 )
 from .tinynn import (
@@ -643,7 +638,7 @@ def variance_study(spec: RunSpec, n_batches: int) -> VarianceReport:
 
     def losses(views: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         z = forward(params, views)
-        return (loss_multicrop(z, spec.tau).per_sample,
+        return (compute_loss(Method.MULTICROP, z, spec.tau).per_sample,
                 loss_pair_infonce(z, 0, 1, spec.tau).per_sample)
 
     # rows: conditional-variance sums (multicrop, pair), then sum/sumsq of
@@ -748,12 +743,11 @@ def validity_study(spec: RunSpec, n_batches: int = 64) -> ValidityReport:
 
 
 # ---------------------------------------------------------------------------
-# Check suites
+# Acceptance checks
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str
@@ -772,202 +766,163 @@ class CheckReport:
         out = [f"suite {self.suite}:"]
         for r in self.results:
             mark = "ok  " if r.ok else "FAIL"
-            out.append(f"  [{mark}] {r.name}: {r.detail}")
+            out.append(f"  [{mark}] criterion {r.name}: {r.detail}")
         out.append(f"suite {self.suite}: {'PASS' if self.ok else 'FAIL'}")
         return out
 
 
-def _random_unit_batch(rng: np.random.Generator, k: int, m: int, d: int) -> EmbeddingBatch:
+def _unit_batch(rng: np.random.Generator, k: int, m: int, d: int) -> EmbeddingBatch:
     return EmbeddingBatch(z=l2_normalize(rng.standard_normal((k, m, d))))
 
 
-def _collapsed_batch(k: int, m: int, d: int = 8) -> EmbeddingBatch:
-    e = np.zeros(d)
-    e[0] = 1.0
-    return EmbeddingBatch(z=np.broadcast_to(e, (k, m, d)).copy())
-
-
-def _suite_oracles() -> list[CheckResult]:
-    results = []
+def criterion_01() -> CheckResult:
+    """Closed-form one-vs-rest MI equals the covariance-matrix KL oracle."""
+    t0 = time.perf_counter()
     worst = 0.0
     for s0 in (0.25, 0.5, 1.0, 2.0, 4.0):
         for s in (0.25, 0.5, 1.0, 2.0, 4.0):
             for m in range(2, 17):
-                worst = max(worst, abs(
+                diff = abs(
                     true_one_vs_rest_mi(s0, s, m) - mi_via_gaussian_kl(s0, s, m)
-                ))
-    results.append(CheckResult(
-        "closed form vs matrix KL grid", worst < 1e-9, f"max |diff| = {worst:.3e}"
-    ))
-
-    probe = conditional_convergence_probe(
-        GaussianConfig(sigma0_sq=1.0, sigma_sq=1.0, k=100_000, m=2, seed=7),
-        m_values=[2, 8],
+                )
+                worst = max(worst, diff)
+    elapsed = time.perf_counter() - t0
+    return CheckResult(
+        "1",
+        worst < 1e-9 and elapsed < 5.0,
+        f"max |closed form - matrix KL| = {worst:.3e} over 375 grid points "
+        f"in {elapsed:.2f}s (limits 1e-9, 5s)",
     )
-    ok = True
-    details = []
-    for m, got in probe.items():
-        want = 1.0 * 1.0 / (1.0 + (m - 1) * 1.0)
-        se = want * math.sqrt(2.0 / 100_000)
-        ok &= abs(got - want) < 5 * se
-        details.append(f"M={m}: {got:.5f} vs {want:.5f}")
-    results.append(CheckResult("conditional probe residual", ok, "; ".join(details)))
-
-    limit = mi_infomax_limit(1.0, 0.25)
-    near = true_one_vs_rest_mi(1.0, 0.25, 10**6)
-    grid = [true_one_vs_rest_mi(1.0, 0.25, m) for m in range(2, 20)]
-    mono = all(a < b for a, b in zip(grid, grid[1:]))
-    results.append(CheckResult(
-        "MI increases to the InfoMax limit",
-        mono and abs(near - limit) < 1e-5 and grid[-1] < limit,
-        f"MI(10^6) = {near:.8f}, limit = {limit:.8f}",
-    ))
-    return results
 
 
-def _suite_grads() -> list[CheckResult]:
-    results = []
+def criterion_02() -> CheckResult:
+    """Hand-derived encoder gradients match central finite differences."""
+    t0 = time.perf_counter()
     shapes = [(2, 2), (4, 3), (3, 4)]
-    for method in Method:
-        worst = 0.0
-        for i, (k, m) in enumerate(shapes):
+    worst = 0.0
+    checked = 0
+    for mi, method in enumerate(Method):
+        for si, (k, m) in enumerate(shapes):
             if method is Method.INFONCE and m != 2:
-                continue
-            rng = streams.stream(11, streams.TEST, a=i)
-            views = rng.standard_normal((k, m))
-            params = init_params(streams.stream(11, streams.INIT, a=i))
-            analytic = loss_and_grads(params, views, method, 0.5)[1]
-            numeric = finite_difference_grads(params, views, method, 0.5)
-            worst = max(worst, max_relative_grad_error(analytic, numeric))
-        results.append(CheckResult(
-            f"finite differences: {method.value}", worst < 1e-5,
-            f"max relative error = {worst:.3e}",
-        ))
-    return results
-
-
-def _suite_identities() -> list[CheckResult]:
-    from .losses import (
-        loss_arithmetic_pvc,
-        loss_geometric_pvc,
-        loss_suffstats,
+                continue  # the pair objective is two-view by contract
+            for b in range(10):
+                case = mi * 1000 + si * 100 + b
+                rng = streams.stream(23, streams.TEST, a=case)
+                views = rng.standard_normal((k, m))
+                params = init_params(streams.stream(23, streams.INIT, a=case))
+                analytic = loss_and_grads(params, views, method, 0.5)[1]
+                numeric = finite_difference_grads(params, views, method, 0.5, h=1e-6)
+                worst = max(worst, max_relative_grad_error(analytic, numeric))
+                checked += 1
+    elapsed = time.perf_counter() - t0
+    return CheckResult(
+        "2",
+        worst < 1e-5 and elapsed < 60.0,
+        f"max relative error = {worst:.3e} over {checked} batches "
+        f"in {elapsed:.1f}s (limits 1e-5, 60s)",
     )
 
-    results = []
-    rng = streams.stream(13, streams.TEST)
-    k, d = 16, 8
-    z2 = _random_unit_batch(rng, k, 2, d)
-    tau = 0.5
 
-    a = loss_arithmetic_pvc(z2, tau).total
-    g = loss_geometric_pvc(z2, tau).total
-    results.append(CheckResult(
-        "arithmetic = geometric at M=2", abs(a - g) < 1e-12, f"|diff| = {abs(a - g):.3e}"
-    ))
-
-    s = loss_suffstats(z2, tau).total
-    results.append(CheckResult(
-        "suffstats = poly-view loss at M=2 (both reduce to the 2K-1 candidate"
-        " two-view loss)", abs(s - a) < 1e-12, f"|diff| = {abs(s - a):.3e}"
-    ))
-
-    mc = loss_multicrop(z2, tau).total
-    inf = compute_loss(Method.INFONCE, z2, tau).total
-    results.append(CheckResult(
-        "multicrop = infonce at M=2", abs(mc - inf) < 1e-12, f"|diff| = {abs(mc - inf):.3e}"
-    ))
-
-    for k_c, m_c in ((8, 2), (6, 4)):
-        zc = _collapsed_batch(k_c, m_c)
-        sentinel = math.log(k_c * m_c - m_c + 1)
-        worst = max(
-            abs(loss_arithmetic_pvc(zc, tau).total - sentinel),
-            abs(loss_geometric_pvc(zc, tau).total - sentinel),
-            abs(loss_suffstats(zc, tau).total - sentinel),
-        )
-        worst_mc = abs(loss_multicrop(zc, tau).total - math.log(k_c))
-        bound = bound_from_loss(Method.GEOMETRIC_PVC, sentinel, k_c, m_c)
-        results.append(CheckResult(
-            f"collapse sentinels at K={k_c}, M={m_c}",
-            worst < 1e-12 and worst_mc < 1e-12 and bound == 0.0,
-            f"poly/test |diff| = {worst:.3e}, multicrop |diff| = {worst_mc:.3e}",
-        ))
-    return results
-
-
-def _suite_invariants() -> list[CheckResult]:
-    from .losses import loss_arithmetic_pvc, loss_geometric_pvc
-
-    results = []
-    tau = 0.5
-    strict = 0
-    total = 0
-    ordered = True
-    for i in range(50):
-        rng = streams.stream(17, streams.TEST, a=i)
-        z = _random_unit_batch(rng, 8, 3, 8)
-        a = loss_arithmetic_pvc(z, tau).total
-        g = loss_geometric_pvc(z, tau).total
-        ordered &= a <= g + 1e-12
-        strict += a < g
-        total += 1
-    results.append(CheckResult(
-        "arithmetic <= geometric (Jensen)", ordered and strict >= 45,
-        f"ordered on {total}/{total}, strict on {strict}/{total}",
-    ))
-
+def criterion_03a() -> CheckResult:
+    """The arithmetic and geometric objectives coincide at M = 2."""
     worst = 0.0
-    for i in range(10):
-        rng = streams.stream(19, streams.TEST, a=i)
-        z = _random_unit_batch(rng, 8, 4, 8)
-        perm = rng.permutation(4)
-        zp = EmbeddingBatch(z=np.ascontiguousarray(z.z[:, perm, :]))
-        q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
-        zr = EmbeddingBatch(z=z.z @ q.T)
-        for method in (Method.MULTICROP, Method.ARITHMETIC_PVC,
-                       Method.GEOMETRIC_PVC, Method.SUFFSTATS):
-            base = compute_loss(method, z, tau).total
-            worst = max(
-                worst,
-                abs(compute_loss(method, zp, tau).total - base),
-                abs(compute_loss(method, zr, tau).total - base),
-            )
-    results.append(CheckResult(
-        "view permutation and orthogonal map invariance", worst < 1e-12,
-        f"max |change| = {worst:.3e}",
-    ))
+    for i in range(50):
+        rng = streams.stream(29, streams.TEST, a=i)
+        z = _unit_batch(rng, 8, 2, 16)
+        worst = max(
+            worst,
+            abs(compute_loss(Method.ARITHMETIC_PVC, z, 0.5).total
+                - compute_loss(Method.GEOMETRIC_PVC, z, 0.5).total),
+        )
+    return CheckResult("3a", worst < 1e-12, f"max |diff| = {worst:.3e} over 50 batches")
 
-    factors = [variance_bound_factor(m) for m in range(2, 65)]
-    ok = factors[0] == 1.0 and all(x > y for x, y in zip(factors, factors[1:]))
-    ok &= all(f < 1 for f in factors[1:])
-    results.append(CheckResult(
-        "variance factor strictly decreasing, < 1 for M >= 3", ok,
-        f"M=2: {factors[0]}, M=3: {factors[1]:.6f}, M=8: {variance_bound_factor(8):.6f}",
-    ))
 
-    ok = offset_c(1, 5) == 0.0 and abs(offset_c(4, 2) - math.log(7)) < 1e-15
-    v1 = optimal_multiplicity(4096, 1 - 1e-12, "linear-1")
-    v2 = optimal_multiplicity(4096, 1 - 1e-12, "linear-2")
-    ok &= v1 < 1e-3 and abs(v2 - 1) < 1e-3
-    results.append(CheckResult(
-        "offset and optimal-multiplicity limits", ok,
-        f"offset_c(1,5) = {offset_c(1, 5)}, M*(p->1) = {v1:.2e} / {v2:.6f}",
-    ))
-    return results
+def criterion_03c() -> CheckResult:
+    """Collapsed embeddings give each objective's sentinel loss and a zero bound."""
+    worst_poly = 0.0
+    worst_mc = 0.0
+    worst_bound = 0.0
+    for k, m in ((8, 2), (6, 4), (16, 3)):
+        e = np.zeros(12)
+        e[0] = 1.0
+        z = EmbeddingBatch(z=np.broadcast_to(e, (k, m, 12)).copy())
+        sentinel = math.log(k * m - m + 1)
+        for method in (Method.ARITHMETIC_PVC, Method.GEOMETRIC_PVC, Method.SUFFSTATS):
+            worst_poly = max(worst_poly, abs(compute_loss(method, z, 0.5).total - sentinel))
+        worst_mc = max(worst_mc, abs(compute_loss(Method.MULTICROP, z, 0.5).total - math.log(k)))
+        worst_bound = max(
+            worst_bound,
+            abs(bound_from_loss(Method.GEOMETRIC_PVC, sentinel, k, m)),
+            abs(bound_from_loss(Method.MULTICROP, math.log(k), k, m)),
+        )
+    return CheckResult(
+        "3c",
+        worst_poly < 1e-12 and worst_mc < 1e-12 and worst_bound == 0.0,
+        f"collapse |diff|: poly-family {worst_poly:.3e} vs ln(B-M+1), "
+        f"multicrop {worst_mc:.3e} vs ln K, |bound| = {worst_bound:.3e}",
+    )
+
+
+def criterion_04() -> CheckResult:
+    """The arithmetic objective never exceeds the geometric one (Jensen)."""
+    ordered = 0
+    strict = 0
+    n = 1000
+    for i in range(n):
+        rng = streams.stream(37, streams.TEST, a=i)
+        z = _unit_batch(rng, 8, 3, 8)
+        a = compute_loss(Method.ARITHMETIC_PVC, z, 0.5).total
+        g = compute_loss(Method.GEOMETRIC_PVC, z, 0.5).total
+        ordered += a <= g + 1e-12
+        strict += a < g
+    return CheckResult(
+        "4",
+        ordered == n and strict > 0.99 * n,
+        f"arithmetic <= geometric on {ordered}/{n}, strict on {strict}/{n}",
+    )
+
+
+def criterion_05() -> CheckResult:
+    """Every objective is invariant to view permutations and orthogonal maps."""
+    worst = 0.0
+    for i in range(100):
+        rng = streams.stream(41, streams.TEST, a=i)
+        q, _ = np.linalg.qr(rng.standard_normal((16, 16)))
+        # infonce is two-view; the other four objectives, list(Method)[1:], at M = 4
+        for methods, m in (([Method.INFONCE], 2), (list(Method)[1:], 4)):
+            z = _unit_batch(rng, 8, m, 16)
+            perm = rng.permutation(m)
+            zp = EmbeddingBatch(z=np.ascontiguousarray(z.z[:, perm, :]))
+            zq = EmbeddingBatch(z=z.z @ q.T)
+            for method in methods:
+                base = compute_loss(method, z, 0.5).total
+                worst = max(
+                    worst,
+                    abs(compute_loss(method, zp, 0.5).total - base),
+                    abs(compute_loss(method, zq, 0.5).total - base),
+                )
+    return CheckResult(
+        "5",
+        worst < 1e-12,
+        f"max |loss change| = {worst:.3e} under view permutations and a "
+        "global orthogonal map, 100 batches, all five objectives",
+    )
+
+
+# The acceptance criteria each `polyview check --suite` runs.
+CHECK_SUITES = {
+    "oracles": (criterion_01,),
+    "grads": (criterion_02,),
+    "identities": (criterion_03a, criterion_03c),
+    "invariants": (criterion_04, criterion_05),
+}
 
 
 def check_suites(which: str) -> CheckReport:
-    """Run one named self-check suite: oracles, grads, identities, or
-    invariants. Returns a report; the CLI turns a failing report into exit
-    code 3."""
-    suites = {
-        "oracles": _suite_oracles,
-        "grads": _suite_grads,
-        "identities": _suite_identities,
-        "invariants": _suite_invariants,
-    }
-    if which not in suites:
+    """Run the acceptance criteria of one suite in CHECK_SUITES. Returns a
+    report; the CLI turns a failing report into exit code 3."""
+    if which not in CHECK_SUITES:
         raise ValueError(
-            f"unknown suite {which!r}; expected one of {sorted(suites)}"
+            f"unknown suite {which!r}; expected one of {sorted(CHECK_SUITES)}"
         )
-    return CheckReport(suite=which, results=tuple(suites[which]()))
+    return CheckReport(suite=which, results=tuple(check() for check in CHECK_SUITES[which]))

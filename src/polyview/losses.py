@@ -305,31 +305,6 @@ def loss_pair_infonce(z: EmbeddingBatch, alpha: int, beta: int, tau: float) -> L
     return LossResult.from_per_sample(per_sample)
 
 
-def loss_multicrop(z: EmbeddingBatch, tau: float) -> LossResult:
-    """Mean of pair InfoNCE over all M(M-1) ordered view pairs."""
-    return compute_loss(Method.MULTICROP, z, tau)
-
-
-def loss_arithmetic_pvc(z: EmbeddingBatch, tau: float) -> LossResult:
-    """Per sample and anchor view: -log of the arithmetic mean over target
-    views of l_{i,alpha,beta}, averaged over anchor views and samples."""
-    return compute_loss(Method.ARITHMETIC_PVC, z, tau)
-
-
-def loss_geometric_pvc(z: EmbeddingBatch, tau: float) -> LossResult:
-    """Per sample and anchor view: mean over target views of
-    -log l_{i,alpha,beta} (the -log of the geometric mean), averaged over
-    anchor views and samples. Always >= the arithmetic variant."""
-    return compute_loss(Method.GEOMETRIC_PVC, z, tau)
-
-
-def loss_suffstats(z: EmbeddingBatch, tau: float) -> LossResult:
-    """Each view scores against rest-set statistics: the positive is its own
-    sample's statistic, negatives are every statistic of other samples;
-    same-sample statistics for other anchor views are excluded."""
-    return compute_loss(Method.SUFFSTATS, z, tau)
-
-
 def compute_loss(method: Method, z: EmbeddingBatch, tau: float) -> LossResult:
     """Dispatch to the objective named by method.
 

@@ -145,6 +145,19 @@ class TestTrain:
         ) == 1
         assert "infonce" in capsys.readouterr().err
 
+    def test_missing_output_directory_refused_before_training(self, tmp_path, capsys,
+                                                             monkeypatch):
+        def never(_spec):
+            raise AssertionError("trained despite a missing output directory")
+
+        monkeypatch.setattr(cli, "run_training", never)
+        out = tmp_path / "missing_dir" / "run.csv"
+        assert main(
+            ["train", "--method", "geometric", "--m", "2", "--k", "8", "--out", str(out)]
+        ) == 1
+        assert "error: train: the directory of --out" in capsys.readouterr().err
+        assert not (tmp_path / "missing_dir").exists()
+
     def test_numerical_failure_exits_2_with_partial(self, tmp_path, capsys, monkeypatch):
         out = str(tmp_path / "boom.csv")
         spec = RunSpec(method=Method.ARITHMETIC_PVC, m=2, k=8, train=TrainConfig(epochs=3))
@@ -253,21 +266,39 @@ class TestSweep:
         assert "[failed]" in text and "0 ran, 0 cached, 1 failed" in text
 
 
+@pytest.fixture
+def fake_runs(tmp_path):
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    spec = RunSpec(
+        method=Method.MULTICROP, m=2, k=8, train=TrainConfig(epochs=2),
+        eval_batches=2,
+    )
+    run_training(spec).write(str(runs / "multicrop_m02_seed0000.csv"))
+    return runs
+
+
 class TestReport:
-    def test_writes_csv_and_gnuplot_sibling(self, tmp_path, capsys):
-        runs = tmp_path / "runs"
-        runs.mkdir()
-        spec = RunSpec(
-            method=Method.MULTICROP, m=2, k=8, train=TrainConfig(epochs=2),
-            eval_batches=2,
-        )
-        run_training(spec).write(str(runs / "multicrop_m02_seed0000.csv"))
+    def test_writes_csv_and_gnuplot_sibling(self, tmp_path, capsys, fake_runs):
         out = tmp_path / "summary.csv"
-        assert main(["report", "--in", str(runs), "--out", str(out)]) == 0
+        assert main(["report", "--in", str(fake_runs), "--out", str(out)]) == 0
         assert "(1 groups)" in capsys.readouterr().out
         assert out.read_text().startswith("method,m,n_seeds,")
         dat = tmp_path / "summary.dat"
         assert dat.read_text().startswith("# method m n_seeds")
+
+    def test_out_equal_to_its_dat_path_refused(self, tmp_path, capsys, fake_runs):
+        out = tmp_path / "summary.dat"
+        assert main(["report", "--in", str(fake_runs), "--out", str(out)]) == 1
+        assert "is also the path of its .dat table" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_input_directory_is_error(self, tmp_path, capsys):
+        out = tmp_path / "summary.csv"
+        assert main(["report", "--in", str(tmp_path / "missing_dir"), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "missing_dir" in err
+        assert not out.exists()
 
     def test_empty_dir_is_usage_error(self, tmp_path, capsys):
         runs = tmp_path / "runs"

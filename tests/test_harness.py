@@ -576,7 +576,17 @@ class TestCheckSuites:
         with pytest.raises(ValueError, match="unknown suite"):
             check_suites("nope")
 
-    @pytest.mark.parametrize("suite", ["oracles", "grads", "identities", "invariants"])
+    def test_suites_run_the_acceptance_criteria(self):
+        assert {suite: [check.__name__ for check in checks]
+                for suite, checks in harness.CHECK_SUITES.items()} == {
+            "oracles": ["criterion_01"],
+            "grads": ["criterion_02"],
+            "identities": ["criterion_03a", "criterion_03c"],
+            "invariants": ["criterion_04", "criterion_05"],
+        }
+
+    # grads (criterion 02, the slowest) already runs once in the acceptance tests
+    @pytest.mark.parametrize("suite", ["oracles", "identities", "invariants"])
     def test_suite_passes(self, suite):
         report = check_suites(suite)
         assert report.suite == suite

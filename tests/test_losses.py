@@ -25,11 +25,7 @@ from polyview.losses import (
     _loss_and_zgrad,
     compute_loss,
     l2_normalize,
-    loss_arithmetic_pvc,
-    loss_geometric_pvc,
-    loss_multicrop,
     loss_pair_infonce,
-    loss_suffstats,
 )
 
 TAU = 0.5
@@ -227,7 +223,7 @@ class TestAgainstOracles:
         z = np.stack([np.stack([a, v, -v]), np.stack([v, a, -a])])
         batch = EmbeddingBatch(z=z)
         with pytest.raises(ValueError):
-            loss_suffstats(batch, TAU)
+            compute_loss(Method.SUFFSTATS, batch, TAU)
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +235,8 @@ class TestIdentities:
     def test_arithmetic_equals_geometric_at_m2(self):
         for case in range(5):
             batch = random_embedding_batch(4, 2, 3, case=30 + case)
-            a = loss_arithmetic_pvc(batch, TAU)
-            g = loss_geometric_pvc(batch, TAU)
+            a = compute_loss(Method.ARITHMETIC_PVC, batch, TAU)
+            g = compute_loss(Method.GEOMETRIC_PVC, batch, TAU)
             np.testing.assert_allclose(a.per_sample, g.per_sample, atol=1e-12)
 
     def test_suffstats_equals_poly_view_at_m2(self):
@@ -248,16 +244,16 @@ class TestIdentities:
         # the candidate sets coincide with the poly-view ones exactly.
         for case in range(5):
             batch = random_embedding_batch(4, 2, 3, case=35 + case)
-            s = loss_suffstats(batch, TAU)
-            a = loss_arithmetic_pvc(batch, TAU)
+            s = compute_loss(Method.SUFFSTATS, batch, TAU)
+            a = compute_loss(Method.ARITHMETIC_PVC, batch, TAU)
             np.testing.assert_allclose(s.per_sample, a.per_sample, atol=1e-12)
 
     def test_suffstats_m2_does_not_equal_multicrop_m2(self):
         # The two contrast against different candidate counts (2K-1 vs K);
         # their collapse values ln(2K-1) and ln K already differ.
         batch = random_embedding_batch(4, 2, 3, case=40)
-        s = loss_suffstats(batch, TAU).total
-        p = loss_multicrop(batch, TAU).total
+        s = compute_loss(Method.SUFFSTATS, batch, TAU).total
+        p = compute_loss(Method.MULTICROP, batch, TAU).total
         assert abs(s - p) > 0.1
 
     def test_multicrop_m2_is_mean_of_directed_pairs(self):
@@ -267,7 +263,7 @@ class TestIdentities:
             + oracle_pair_infonce(batch.z, 1, 0, TAU)
         )
         np.testing.assert_allclose(
-            loss_multicrop(batch, TAU).per_sample, want, atol=1e-12
+            compute_loss(Method.MULTICROP, batch, TAU).per_sample, want, atol=1e-12
         )
 
     def test_infonce_dispatch(self):
@@ -293,13 +289,15 @@ class TestCollapseSentinels:
     def test_poly_view_and_suffstats_collapse(self, k, m):
         batch = identical_embedding_batch(k, m, 3)
         expected = math.log(k * m - m + 1)
-        for loss in (loss_arithmetic_pvc, loss_geometric_pvc, loss_suffstats):
-            assert loss(batch, TAU).total == pytest.approx(expected, abs=1e-12)
+        for method in (Method.ARITHMETIC_PVC, Method.GEOMETRIC_PVC, Method.SUFFSTATS):
+            loss = compute_loss(method, batch, TAU).total
+            assert loss == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("k,m", [(8, 2), (6, 4), (5, 3)])
     def test_pairwise_collapse(self, k, m):
         batch = identical_embedding_batch(k, m, 3)
-        assert loss_multicrop(batch, TAU).total == pytest.approx(math.log(k), abs=1e-12)
+        loss = compute_loss(Method.MULTICROP, batch, TAU).total
+        assert loss == pytest.approx(math.log(k), abs=1e-12)
 
     def test_pair_infonce_collapse_is_ln2(self):
         batch = identical_embedding_batch(2, 2, 3)
@@ -322,8 +320,8 @@ class TestJensenOrdering:
         n = 200
         for case in range(n):
             batch = random_embedding_batch(3, 3, 2, case=100 + case)
-            a = loss_arithmetic_pvc(batch, TAU).total
-            g = loss_geometric_pvc(batch, TAU).total
+            a = compute_loss(Method.ARITHMETIC_PVC, batch, TAU).total
+            g = compute_loss(Method.GEOMETRIC_PVC, batch, TAU).total
             assert a <= g + 1e-12
             if g - a > 1e-9:
                 strict += 1
@@ -380,9 +378,9 @@ class TestInvariances:
         perms = np.array([[1, 0], [0, 1], [0, 1]])
         rows = np.arange(3)[:, None]
         batch = random_embedding_batch(3, 2, 2, case=220)
-        base = loss_multicrop(batch, TAU).total
+        base = compute_loss(Method.MULTICROP, batch, TAU).total
         shuffled = EmbeddingBatch(z=batch.z[rows, perms, :])
-        assert abs(loss_multicrop(shuffled, TAU).total - base) > 1e-9
+        assert abs(compute_loss(Method.MULTICROP, shuffled, TAU).total - base) > 1e-9
 
     def test_orthogonal_map_invariance(self):
         for case in range(3):
@@ -517,10 +515,10 @@ class TestTiling:
 @settings(deadline=None, max_examples=40)
 def test_losses_positive_and_ordered(k, m, d, case):
     batch = random_embedding_batch(k, m, d, case=case)
-    a = loss_arithmetic_pvc(batch, TAU)
-    g = loss_geometric_pvc(batch, TAU)
-    s = loss_suffstats(batch, TAU)
-    p = loss_multicrop(batch, TAU)
+    a = compute_loss(Method.ARITHMETIC_PVC, batch, TAU)
+    g = compute_loss(Method.GEOMETRIC_PVC, batch, TAU)
+    s = compute_loss(Method.SUFFSTATS, batch, TAU)
+    p = compute_loss(Method.MULTICROP, batch, TAU)
     assert a.total <= g.total + 1e-12
     for res in (a, g, s, p):
         assert np.all(res.per_sample > 0.0)
