@@ -138,6 +138,8 @@ def _run_spec(args, method: Method, **settings) -> RunSpec:
 def _cmd_train(args) -> int:
     if not os.path.isdir(os.path.dirname(args.out) or "."):
         raise _UsageError(f"train: the directory of --out {args.out} does not exist")
+    if os.path.isdir(args.out):
+        raise _UsageError(f"train: --out {args.out} is a directory; name the CSV file")
     spec = _run_spec(
         args,
         Method.from_token(args.method),

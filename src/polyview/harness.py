@@ -16,6 +16,7 @@ bound/gap columns are derived from that average.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -162,9 +163,14 @@ class RunRecord:
 
     def write(self, path: str) -> None:
         tmp = path + ".tmp"
-        with open(tmp, "w", newline="") as fh:
-            fh.write(self.to_csv_text())
-        os.replace(tmp, path)
+        try:
+            with open(tmp, "w", newline="") as fh:
+                fh.write(self.to_csv_text())
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+            raise
 
 
 def read_csv_rows(path: str) -> list[RunRow]:

@@ -28,13 +28,32 @@ temperature each row takes the max of its non-excluded scores in each
 candidate view, and symmetry is not used. A loss-only call runs pass 1 (the
 negative sums); gradients add pass 2, which recomputes each tile. All
 reductions run in float64 in a fixed order: equal inputs give equal bits.
+
+Tile threads: a call with several tiles runs them on a pool of threads, one
+whole tile per thread: in pass 1 its score GEMM, exp, mask and sums, in
+pass 2 its gradient products. The pool is made at the first such call, as
+wide as OpenBLAS's thread count then; from then on OpenBLAS runs one thread,
+so the tile threads take over its cores. The calling thread keeps the
+serial order: it writes each tile's sums into their own slices of the
+negative sums and adds each tile's gradient increments in tile order. Each
+tile's arithmetic is the same whichever thread runs it, and OpenBLAS splits
+a GEMM between its threads by blocks of the output, never within a dot
+product, so every output bit is the same at any width. Without a handle on numpy's OpenBLAS the width is 1 and the
+tiles run in order on the calling thread; so do single-tile calls.
 """
 
 from __future__ import annotations
 
+import contextvars
+import ctypes
 import enum
 import functools
 import math
+import os
+import queue
+import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +63,9 @@ NORMALIZE_EPS = 1e-30
 _SHIFT_LIMIT = 700.0
 # Views are grouped into tiles of at most this many rows (at least one view).
 _TILE_ROWS = 1024
+# The tile pool as (width, executor or None), made at the first multi-tile call.
+_pool = None
+_pool_lock = threading.Lock()
 
 
 class _NumericalError(ValueError):
@@ -160,13 +182,101 @@ def _plan(others: bool, per_view: bool, ma: int, mc: int, k: int, symmetric: boo
     return targets, tuple(tiles), gather
 
 
-def _exp_tile(a_hat, c_hat, k, tile, shift, fill):
+def _openblas_thread_calls():
+    """The get and set thread-count functions of numpy's bundled OpenBLAS,
+    found among the libraries this process has mapped, or None."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split()[-1] for line in fh
+                     if "openblas" in line.lower() and "numpy" in line}
+    except OSError:
+        return None
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "")):
+            get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+def _tile_pool():
+    """(width, executor or None): the tile threads, made on first use as wide
+    as OpenBLAS's thread count, which is then set to one."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            calls = _openblas_thread_calls()
+            width = max(1, calls[0]()) if calls else 1
+            if calls:
+                calls[1](1)
+            _pool = (width, ThreadPoolExecutor(width, "polyview-tile") if width > 1 else None)
+        return _pool
+
+
+def _renew_pool_in_child():
+    # A forked child has none of its parent's threads: give it its own pool.
+    global _pool, _pool_lock
+    _pool_lock = threading.Lock()
+    if _pool is not None and _pool[1] is not None:
+        _pool = (_pool[0], ThreadPoolExecutor(_pool[0], "polyview-tile"))
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_renew_pool_in_child)
+
+
+def _map_tiles(fn, tiles, tile_size):
+    """Yield fn(tile, buffer) for each tile, in tile order. Several tiles run
+    on the tile pool, each in a copy of the caller's context (numpy's error
+    state is in it), with up to twice its width submitted, so that a thread
+    the host delays holds up the others less. The calling thread allocates
+    one buffer of tile_size floats per pool thread, and a running tile takes
+    a free one: tile memory stays in the caller's malloc arena, not in one
+    arena per thread."""
+    width, pool = _tile_pool() if len(tiles) > 1 else (1, None)
+    if pool is None:
+        buffer = np.empty(tile_size)
+        for tile in tiles:
+            yield fn(tile, buffer)
+        return
+    free = queue.SimpleQueue()
+    for _ in range(width):
+        free.put(np.empty(tile_size))
+
+    def run(tile):
+        buffer = free.get()
+        try:
+            return fn(tile, buffer)
+        finally:
+            free.put(buffer)
+
+    pending = deque()
+    for tile in tiles:
+        if len(pending) == 2 * width:
+            yield pending.popleft().result()
+        pending.append(pool.submit(contextvars.copy_context().run, run, tile))
+    while pending:
+        yield pending.popleft().result()
+
+
+def _exp_tile(a_hat, c_hat, k, tile, shift, fill, buffer):
     """exp of one tile of shifted scores as (va, K, vb, K), every
-    same-sample entry zero. shift is None under the constant shift; else the
-    per-row, per-view shifts, which fill takes from this tile's maxima."""
+    same-sample entry zero, written into the front of buffer. shift is None
+    under the constant shift; else the per-row, per-view shifts, which fill
+    takes from this tile's maxima."""
     a0, a1, b0, b1, _, same = tile
-    s = a_hat[..., a0 * k:a1 * k, :] @ np.swapaxes(c_hat[..., b0 * k:b1 * k, :], -1, -2)
-    lead = s.shape[:-2]
+    lead = a_hat.shape[:-2]
+    s = buffer[:math.prod(lead) * (a1 - a0) * (b1 - b0) * k * k]
+    s = s.reshape(*lead, (a1 - a0) * k, (b1 - b0) * k)
+    np.matmul(a_hat[..., a0 * k:a1 * k, :], np.swapaxes(c_hat[..., b0 * k:b1 * k, :], -1, -2),
+              out=s)
     e = s.reshape(*lead, a1 - a0, k, b1 - b0, k)
     if shift is None:
         np.exp(s, out=s)
@@ -198,6 +308,7 @@ def _candidate_set_loss(anchors, cands, tau, others, log_mean_exp, per_view, wan
     symmetric = cands is anchors and not rowmax
     targets, tiles, gather = _plan(others, per_view, ma, mc, k, symmetric, _TILE_ROWS)
     n_t = targets.shape[1]
+    tile_size = math.prod(lead) * k * k * max((t[1] - t[0]) * (t[3] - t[2]) for t in tiles)
     fold = np.append(np.full(d, 1.0 / tau), -1.0 / tau)
     c_hat = np.concatenate((cands.reshape(*lead, -1, d), np.ones((*lead, mc * k, 1))), axis=-1)
     a_hat = c_hat if cands is anchors else np.concatenate(
@@ -206,14 +317,18 @@ def _candidate_set_loss(anchors, cands, tau, others, log_mean_exp, per_view, wan
     shift = np.zeros((*lead, ma, k, mc)) if rowmax else None
 
     # Pass 1: the negative sums of each anchor row in each candidate view,
-    # under that row's shift for the view.
+    # under that row's shift for the view. A tile fills its own shifts, a
+    # slice of shift that no other tile writes.
+    def tile_sums(tile, buffer):
+        e = _exp_tile(a_hat, c_hat, k, tile, shift, True, buffer)
+        return e.sum(axis=-1), (np.moveaxis(e.sum(axis=-3), -3, -1) if tile[4] else None)
+
     neg = np.empty((*lead, ma, k, mc))
-    for tile in tiles:
-        a0, a1, b0, b1, mirrored, _ = tile
-        e = _exp_tile(a_hat, c_hat, k, tile, shift, True)
-        neg[..., a0:a1, :, b0:b1] = e.sum(axis=-1)
+    for (a0, a1, b0, b1, mirrored, _), (row_sums, col_sums) in zip(
+            tiles, _map_tiles(tile_sums, tiles, tile_size)):
+        neg[..., a0:a1, :, b0:b1] = row_sums
         if mirrored:
-            neg[..., b0:b1, :, a0:a1] = np.moveaxis(e.sum(axis=-3), -3, -1)
+            neg[..., b0:b1, :, a0:a1] = col_sums
     # Positives straight from the shifted scores: (K, Ma, Mc) per-sample GEMMs.
     same = (a_hat.reshape(*lead, ma, k, -1).swapaxes(-3, -2)
             @ np.moveaxis(c_hat.reshape(*lead, mc, k, -1), -3, -1))
@@ -255,22 +370,29 @@ def _candidate_set_loss(anchors, cands, tau, others, log_mean_exp, per_view, wan
 
     # Pass 2: recompute each tile. Rows take their anchor role, and in a
     # symmetric tile their candidate role too, from E_ab @ [C_b | g * C_b].
-    for tile in tiles:
+    # A tile returns its increments (gradient, first view, last view + 1,
+    # value), which are added in order.
+    def tile_increments(tile, buffer):
         a0, a1, b0, b1, mirrored, _ = tile
-        e = _exp_tile(a_hat, c_hat, k, tile, shift, False)
+        e = _exp_tile(a_hat, c_hat, k, tile, shift, False, buffer)
         c_rows, c_cols = coeff[a0:a1, :, b0:b1], coeff[b0:b1, :, a0:a1]
         za, zb = anchors[a0:a1], cands[b0:b1]
         out = e.transpose(0, 2, 1, 3) @ (_stack_rhs(zb, c_cols) if symmetric else zb)
-        grad_a[a0:a1] += np.einsum("aib,abid->aid", c_rows, out[..., :d])
+        steps = [(grad_a, a0, a1, np.einsum("aib,abid->aid", c_rows, out[..., :d]))]
         if symmetric:
-            grad_a[a0:a1] += out[..., d:].sum(axis=1)
+            steps.append((grad_a, a0, a1, out[..., d:].sum(axis=1)))
         if mirrored:
             out = e.transpose(2, 0, 3, 1) @ _stack_rhs(za, c_rows)
-            grad_a[b0:b1] += np.einsum("bja,bajd->bjd", c_cols, out[..., :d])
-            grad_a[b0:b1] += out[..., d:].sum(axis=1)
+            steps.append((grad_a, b0, b1, np.einsum("bja,bajd->bjd", c_cols, out[..., :d])))
+            steps.append((grad_a, b0, b1, out[..., d:].sum(axis=1)))
         elif not symmetric:
             weighted = c_rows.transpose(2, 0, 1)[..., None] * za
-            grad_c[b0:b1] += (e.transpose(2, 0, 3, 1) @ weighted).sum(axis=1)
+            steps.append((grad_c, b0, b1, (e.transpose(2, 0, 3, 1) @ weighted).sum(axis=1)))
+        return steps
+
+    for steps in _map_tiles(tile_increments, tiles, tile_size):
+        for grad, v0, v1, increment in steps:
+            grad[v0:v1] += increment
     return per_sample, grad_a, grad_c
 
 

@@ -158,6 +158,23 @@ class TestTrain:
         assert "error: train: the directory of --out" in capsys.readouterr().err
         assert not (tmp_path / "missing_dir").exists()
 
+    @pytest.mark.parametrize("suffix", ["", os.sep])
+    def test_directory_out_refused_before_training(self, tmp_path, capsys, monkeypatch,
+                                                   suffix):
+        def never(_spec):
+            raise AssertionError("trained despite an --out that is a directory")
+
+        monkeypatch.setattr(cli, "run_training", never)
+        out = tmp_path / "runs"
+        out.mkdir()
+        assert main(
+            ["train", "--method", "geometric", "--m", "2", "--k", "8",
+             "--out", str(out) + suffix]
+        ) == 1
+        assert "is a directory" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["runs"]
+        assert not os.listdir(out)
+
     def test_numerical_failure_exits_2_with_partial(self, tmp_path, capsys, monkeypatch):
         out = str(tmp_path / "boom.csv")
         spec = RunSpec(method=Method.ARITHMETIC_PVC, m=2, k=8, train=TrainConfig(epochs=3))

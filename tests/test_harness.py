@@ -185,6 +185,16 @@ class TestCsvRoundTrip:
         assert read_csv_rows(path) == list(record.rows)
         assert not os.path.exists(path + ".tmp")
 
+    def test_failed_replace_leaves_no_tmp_file(self, tmp_path):
+        # The target is a directory, so os.replace fails after the write.
+        target = tmp_path / "run.csv"
+        target.mkdir()
+        record = RunRecord(spec=tiny_spec(), rows=())
+        with pytest.raises(OSError):
+            record.write(str(target))
+        assert sorted(os.listdir(tmp_path)) == ["run.csv"]
+        assert target.is_dir() and not os.listdir(target)
+
     def test_text_format(self):
         record = run_training(tiny_spec(train=TrainConfig(epochs=1)))
         text = record.to_csv_text()

@@ -8,7 +8,13 @@ against the library and oracle drifting together.
 
 from __future__ import annotations
 
+import json
 import math
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,6 +33,7 @@ from polyview.losses import (
     l2_normalize,
     loss_pair_infonce,
 )
+from polyview.tinynn import finite_difference_grads, init_params
 
 TAU = 0.5
 
@@ -497,6 +504,155 @@ class TestTiling:
         numeric = central_differences(lambda raw: float(oracle(raw, tau).mean()), batch.z)
         err = max_relative_error(grad, numeric)
         assert err < 1e-5, f"{method}: max relative gradient error {err:.3e}"
+
+
+class CountingPool(ThreadPoolExecutor):
+    def __init__(self, width):
+        super().__init__(width)
+        self.submitted = 0
+
+    def submit(self, *args, **kwargs):
+        self.submitted += 1
+        return super().submit(*args, **kwargs)
+
+
+def at_width(monkeypatch, width, compute):
+    """compute() with the tile pool forced to width threads, and the number
+    of tiles the pool ran."""
+    pool = CountingPool(width) if width > 1 else None
+    monkeypatch.setattr(losses, "_pool", (width, pool))
+    try:
+        return compute(), (pool.submitted if pool else 0)
+    finally:
+        if pool is not None:
+            pool.shutdown()
+
+
+def kernel_outputs(method, batch, tau):
+    result, grad = _loss_and_zgrad(method, batch, tau)
+    loss_only = compute_loss(method, batch, tau)
+    return [result.per_sample, grad, loss_only.per_sample,
+            np.array([result.total, loss_only.total])]
+
+
+class TestTileThreads:
+    """The tile pool's width changes no bit of any output."""
+
+    @pytest.mark.parametrize("width", [2, 4])
+    @pytest.mark.parametrize("tau", [TAU, SMALL_TAU])
+    @pytest.mark.parametrize("method", list(ALL_ORACLES))
+    def test_width_changes_no_bit(self, monkeypatch, method, tau, width):
+        # K = 8: two views per tile with a ragged last one at M = 5, and one
+        # view per tile for infonce's two views. Width 4 with a short switch
+        # interval interleaves the tile threads as much as it can.
+        monkeypatch.setattr(losses, "_TILE_ROWS", 8 if method is Method.INFONCE else 16)
+        batch = for_method(method, random_embedding_batch(8, 5, 4, case=410))
+        serial, _ = at_width(monkeypatch, 1, lambda: kernel_outputs(method, batch, tau))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded, ran = at_width(monkeypatch, width,
+                                     lambda: kernel_outputs(method, batch, tau))
+        finally:
+            sys.setswitchinterval(interval)
+        for want, got in zip(serial, threaded):
+            assert got.tobytes() == want.tobytes()
+        # Pair InfoNCE at the constant shift needs one mirrored tile only.
+        assert ran > 0 or (method is Method.INFONCE and tau == TAU)
+
+    @pytest.mark.parametrize("method", [Method.GEOMETRIC_PVC, Method.SUFFSTATS])
+    def test_stacked_sets_width_changes_no_bit(self, monkeypatch, method):
+        # The oracle's chunks of parameter sets stack on a leading axis.
+        monkeypatch.setattr(losses, "_TILE_ROWS", 8)
+        params = init_params(streams.stream(0, streams.TEST, a=2))
+        views = streams.stream(0, streams.TEST, a=3).standard_normal((4, 3))
+        (serial, _), (threaded, ran) = [
+            at_width(monkeypatch, width,
+                     lambda: finite_difference_grads(params, views, method, TAU))
+            for width in (1, 2)]
+        assert ran > 0
+        for name, want in serial.as_dict().items():
+            assert threaded.as_dict()[name].tobytes() == want.tobytes()
+
+
+SIDE_EFFECTS = """
+import ctypes, json, threading
+import numpy as np
+
+def blas_threads():
+    np.ones(2) @ np.ones(2)
+    with open("/proc/self/maps") as fh:
+        paths = {line.split()[-1] for line in fh
+                 if "openblas" in line.lower() and "numpy" in line}
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+            if hasattr(lib, name):
+                return int(getattr(lib, name)())
+    return None
+
+before = (threading.active_count(), blas_threads())
+import polyview
+from polyview import losses
+after_import = (threading.active_count(), blas_threads())
+losses._TILE_ROWS = 4
+raw = np.random.default_rng(0).normal(size=(4, 3, 2))
+batch = losses.EmbeddingBatch(z=losses.l2_normalize(raw))
+losses.compute_loss(losses.Method.GEOMETRIC_PVC, batch, 0.5)
+print(json.dumps({"before": before, "after_import": after_import,
+                  "width": losses._pool[0], "after_call": blas_threads()}))
+"""
+
+
+def test_import_starts_no_thread_and_pool_takes_blas_width():
+    src = str(Path(losses.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", SIDE_EFFECTS], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "2"},
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen["after_import"] == seen["before"]
+    blas = seen["before"][1]
+    assert seen["width"] == (blas or 1)
+    if blas is not None:
+        assert seen["after_call"] == 1
+
+
+FORKED_CHILD = """
+import os, sys, time
+import numpy as np
+from polyview import losses
+
+losses._TILE_ROWS = 4
+raw = np.random.default_rng(0).normal(size=(4, 3, 2))
+batch = losses.EmbeddingBatch(z=losses.l2_normalize(raw))
+want = losses.compute_loss(losses.Method.GEOMETRIC_PVC, batch, 0.5).total
+pid = os.fork()
+if pid == 0:
+    got = losses.compute_loss(losses.Method.GEOMETRIC_PVC, batch, 0.5).total
+    os._exit(0 if got == want else 1)
+deadline = time.monotonic() + 20
+while time.monotonic() < deadline:
+    done, status = os.waitpid(pid, os.WNOHANG)
+    if done:
+        sys.exit(os.waitstatus_to_exitcode(status))
+    time.sleep(0.05)
+os.kill(pid, 9)
+os.waitpid(pid, 0)
+sys.exit(3)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+def test_forked_child_runs_multi_tile_calls():
+    # Exit 3: the child hung on its parent's pool, whose threads it lacks.
+    src = str(Path(losses.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", FORKED_CHILD], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "2"},
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------------------
