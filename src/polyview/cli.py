@@ -33,7 +33,6 @@ from .harness import (
     RunSpec,
     SweepSpec,
     aggregate,
-    check_suites,
     run_sweep,
     run_training,
     validity_study,
@@ -194,6 +193,8 @@ def _cmd_report(args) -> int:
     dat_path = os.path.splitext(args.out)[0] + ".dat"
     if dat_path == args.out:
         raise _UsageError(f"report: --out {args.out} is also the path of its .dat table")
+    if os.path.realpath(os.path.dirname(args.out) or ".") == os.path.realpath(args.in_dir):
+        raise _UsageError(f"report: --out {args.out} is inside --in, whose CSVs it reads")
     table = aggregate(args.in_dir)
     with open(args.out, "w", newline="") as fh:
         fh.write(table.to_csv_text())
@@ -218,10 +219,14 @@ def _cmd_validity(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    report = check_suites(args.suite)
-    for line in report.lines():
-        print(line)
-    return 0 if report.ok else 3
+    print(f"suite {args.suite}:")
+    ok = True
+    for criterion in CHECK_SUITES[args.suite]:
+        name, passed, detail = criterion()
+        ok = ok and passed
+        print(f"  [{'ok  ' if passed else 'FAIL'}] criterion {name}: {detail}")
+    print(f"suite {args.suite}: {'PASS' if ok else 'FAIL'}")
+    return 0 if ok else 3
 
 
 def main(argv: list[str] | None = None) -> int:

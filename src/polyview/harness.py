@@ -3,6 +3,10 @@ studies, aggregation, and the acceptance checks: one function per exact
 criterion (01, 02, 03a, 03c, 04, 05), which both tests/test_acceptance.py
 and `polyview check` run, grouped into the suites of CHECK_SUITES.
 
+The row dataclasses RunRow and AggregateRow define the output formats: their
+field names are the header, and each cell is written and parsed by its
+field's annotation (_WRITE, _READ).
+
 Every run is a pure function of its RunSpec: parameters come from the INIT
 stream, epoch t trains on the TRAIN_BATCH stream keyed by t, and recorded
 epochs evaluate on fresh EVAL_BATCH streams keyed by (epoch, batch index).
@@ -18,7 +22,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import io
 import json
 import math
 import os
@@ -55,8 +58,6 @@ from .tinynn import (
     loss_and_grads,
     max_relative_grad_error,
 )
-
-CSV_HEADER = "method,m,k,seed,epoch,train_loss,eval_loss,bound,true_mi,gap,relative_mi"
 
 
 class NumericalFailure(RuntimeError):
@@ -138,6 +139,26 @@ def _parse(value: str) -> float | None:
     return None if value == "NA" else float(value)
 
 
+# How a cell is written and read back, keyed by its field's annotation;
+# other annotations are written and read with str.
+_WRITE = {"float": _fmt, "float | None": _fmt, "bool": lambda value: str(int(value))}
+_READ = {"int": int, "float": float, "float | None": _parse}
+
+
+def _field_names(cls) -> list[str]:
+    return [f.name for f in fields(cls)]
+
+
+def _cells(row) -> list[str]:
+    return [_WRITE.get(f.type, str)(getattr(row, f.name)) for f in fields(row)]
+
+
+def _csv_text(row_type, rows) -> str:
+    """A header of row_type's field names, then one line of cells per row."""
+    lines = [_field_names(row_type), *map(_cells, rows)]
+    return "".join(",".join(cells) + "\n" for cells in lines)
+
+
 @dataclass(frozen=True)
 class RunRecord:
     """All recorded rows of one run, in epoch order."""
@@ -151,15 +172,7 @@ class RunRecord:
         return self.rows[-1]
 
     def to_csv_text(self) -> str:
-        out = io.StringIO()
-        out.write(CSV_HEADER + "\n")
-        for r in self.rows:
-            out.write(
-                f"{r.method},{r.m},{r.k},{r.seed},{r.epoch},"
-                f"{_fmt(r.train_loss)},{_fmt(r.eval_loss)},{_fmt(r.bound)},"
-                f"{_fmt(r.true_mi)},{_fmt(r.gap)},{_fmt(r.relative_mi)}\n"
-            )
-        return out.getvalue()
+        return _csv_text(RunRow, self.rows)
 
     def write(self, path: str) -> None:
         tmp = path + ".tmp"
@@ -175,30 +188,17 @@ class RunRecord:
 
 def read_csv_rows(path: str) -> list[RunRow]:
     """Parse a per-run CSV back into rows; raises on a malformed file."""
+    parsers = [_READ.get(f.type, str) for f in fields(RunRow)]
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header != CSV_HEADER.split(","):
+        if header != _field_names(RunRow):
             raise ValueError(f"{path}: unexpected header {header}")
         rows = []
         for line in reader:
-            if len(line) != 11:
+            if len(line) != len(parsers):
                 raise ValueError(f"{path}: malformed row {line}")
-            rows.append(
-                RunRow(
-                    method=line[0],
-                    m=int(line[1]),
-                    k=int(line[2]),
-                    seed=int(line[3]),
-                    epoch=int(line[4]),
-                    train_loss=_parse(line[5]),
-                    eval_loss=float(line[6]),
-                    bound=float(line[7]),
-                    true_mi=float(line[8]),
-                    gap=float(line[9]),
-                    relative_mi=_parse(line[10]),
-                )
-            )
+            rows.append(RunRow(*(parse(cell) for parse, cell in zip(parsers, line))))
     return rows
 
 
@@ -263,10 +263,6 @@ def run_training(spec: RunSpec) -> RunRecord:
 # Sweeps
 # ---------------------------------------------------------------------------
 
-def _field_names(cls) -> set[str]:
-    return {f.name for f in fields(cls)}
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     """Cross product of methods x m_values x seeds. Every other field except
@@ -301,8 +297,7 @@ class SweepSpec:
         self.expand()  # validates every combination via RunSpec
 
     def expand(self) -> list[RunSpec]:
-        shared = {name: getattr(self, name)
-                  for name in _field_names(RunSpec) & _field_names(SweepSpec)}
+        shared = {name: getattr(self, name) for name in _SHARED_SETTINGS}
         return [
             RunSpec(method=method, m=m, seed=seed, **shared)
             for method in self.methods
@@ -321,7 +316,7 @@ class SweepSpec:
     def from_json_dict(cls, data: dict) -> "SweepSpec":
         if not isinstance(data, dict):
             raise ValueError("sweep config must be a JSON object")
-        unknown = set(data) - _field_names(cls)
+        unknown = set(data).difference(_field_names(cls))
         if unknown:
             raise ValueError(f"unknown sweep config keys: {sorted(unknown)}")
         for f in fields(cls):
@@ -334,7 +329,7 @@ class SweepSpec:
             tr = data["train"]
             if not isinstance(tr, dict):
                 raise ValueError("train must be a JSON object")
-            bad = set(tr) - _field_names(TrainConfig)
+            bad = set(tr).difference(_field_names(TrainConfig))
             if bad:
                 raise ValueError(f"unknown train config keys: {sorted(bad)}")
             kwargs["train"] = TrainConfig(**{
@@ -342,6 +337,11 @@ class SweepSpec:
                 for f in fields(TrainConfig) if f.name in tr
             })
         return cls(**kwargs)
+
+
+# The RunSpec fields a sweep passes to every run, in RunSpec's order; runs in
+# one directory must agree on them.
+_SHARED_SETTINGS = tuple(name for name in _field_names(RunSpec) if name in _field_names(SweepSpec))
 
 
 _JSON_KINDS = {"int": int, "float": (int, float), "bool": bool, "Method": str}
@@ -392,11 +392,6 @@ class SweepResult:
     path: str
     status: str  # "ran" | "cached" | "failed"
     message: str = ""
-
-
-# The settings every run of a sweep shares; runs in one directory must agree.
-_SHARED_SETTINGS = ("k", "tau", "sigma0_sq", "sigma_sq", "train", "eval_batches",
-                    "record_stride")
 
 
 def run_sweep(sweep: SweepSpec, out_dir: str) -> list[SweepResult]:
@@ -493,38 +488,20 @@ class AggregateTable:
         return {(r.method, r.m): r for r in self.rows}
 
     def to_csv_text(self) -> str:
-        out = io.StringIO()
-        out.write(
-            "method,m,n_seeds,bound_mean,bound_std,gap_mean,gap_std,"
-            "relative_mi_mean,relative_mi_std,single_seed\n"
-        )
-        for r in self.rows:
-            out.write(
-                f"{r.method},{r.m},{r.n_seeds},{_fmt(r.bound_mean)},"
-                f"{_fmt(r.bound_std)},{_fmt(r.gap_mean)},{_fmt(r.gap_std)},"
-                f"{_fmt(r.relative_mi_mean)},{_fmt(r.relative_mi_std)},"
-                f"{int(r.single_seed)}\n"
-            )
-        return out.getvalue()
+        return _csv_text(AggregateRow, self.rows)
 
     def to_gnuplot_text(self) -> str:
-        """Whitespace table, one block per method (usable as gnuplot index)."""
-        out = io.StringIO()
-        out.write("# method m n_seeds bound_mean bound_std gap_mean gap_std"
-                  " relative_mi_mean relative_mi_std\n")
+        """Whitespace table, one block per method (usable as gnuplot index):
+        the CSV's cells without single_seed."""
+        out = ["# " + " ".join(_field_names(AggregateRow)[:-1]) + "\n"]
         for i, method in enumerate(sorted({r.method for r in self.rows})):
             if i:
-                out.write("\n\n")
-            out.write(f"# method={method}\n")
+                out.append("\n\n")
+            out.append(f"# method={method}\n")
             for r in self.rows:
-                if r.method != method:
-                    continue
-                out.write(
-                    f"{r.method} {r.m} {r.n_seeds} {_fmt(r.bound_mean)} "
-                    f"{_fmt(r.bound_std)} {_fmt(r.gap_mean)} {_fmt(r.gap_std)} "
-                    f"{_fmt(r.relative_mi_mean)} {_fmt(r.relative_mi_std)}\n"
-                )
-        return out.getvalue()
+                if r.method == method:
+                    out.append(" ".join(_cells(r)[:-1]) + "\n")
+        return "".join(out)
 
 
 def _mean_std(values: list[float]) -> tuple[float, float]:
@@ -541,7 +518,7 @@ def aggregate(in_dir: str) -> AggregateTable:
     paths = sorted(
         os.path.join(in_dir, name)
         for name in os.listdir(in_dir)
-        if name.endswith(".csv") and not name.endswith(".partial")
+        if name.endswith(".csv")
     )
     if not paths:
         raise ValueError(f"no run CSV files found in {in_dir}")
@@ -759,24 +736,6 @@ class CheckResult(NamedTuple):
     detail: str
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    suite: str
-    results: tuple[CheckResult, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(r.ok for r in self.results)
-
-    def lines(self) -> list[str]:
-        out = [f"suite {self.suite}:"]
-        for r in self.results:
-            mark = "ok  " if r.ok else "FAIL"
-            out.append(f"  [{mark}] criterion {r.name}: {r.detail}")
-        out.append(f"suite {self.suite}: {'PASS' if self.ok else 'FAIL'}")
-        return out
-
-
 def _unit_batch(rng: np.random.Generator, k: int, m: int, d: int) -> EmbeddingBatch:
     return EmbeddingBatch(z=l2_normalize(rng.standard_normal((k, m, d))))
 
@@ -922,13 +881,3 @@ CHECK_SUITES = {
     "identities": (criterion_03a, criterion_03c),
     "invariants": (criterion_04, criterion_05),
 }
-
-
-def check_suites(which: str) -> CheckReport:
-    """Run the acceptance criteria of one suite in CHECK_SUITES. Returns a
-    report; the CLI turns a failing report into exit code 3."""
-    if which not in CHECK_SUITES:
-        raise ValueError(
-            f"unknown suite {which!r}; expected one of {sorted(CHECK_SUITES)}"
-        )
-    return CheckReport(suite=which, results=tuple(check() for check in CHECK_SUITES[which]))

@@ -15,10 +15,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polyview import cli
+from polyview import cli, harness
 from polyview.cli import main
 from polyview.harness import (
-    CheckReport,
     CheckResult,
     NumericalFailure,
     RunRecord,
@@ -310,6 +309,19 @@ class TestReport:
         assert "is also the path of its .dat table" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("spelling", ["runs/summary.csv", "runs/./summary.csv",
+                                          "link/summary.csv"])
+    def test_out_inside_input_directory_refused(self, tmp_path, capsys, fake_runs,
+                                                spelling):
+        # aggregate reads every *.csv of --in, so a summary written there
+        # would break every later report of that directory
+        (tmp_path / "link").symlink_to(fake_runs)
+        before = sorted(os.listdir(fake_runs))
+        out = str(tmp_path / spelling)
+        assert main(["report", "--in", str(fake_runs), "--out", out]) == 1
+        assert "is inside --in, whose CSVs it reads" in capsys.readouterr().err
+        assert sorted(os.listdir(fake_runs)) == before
+
     def test_missing_input_directory_is_error(self, tmp_path, capsys):
         out = tmp_path / "summary.csv"
         assert main(["report", "--in", str(tmp_path / "missing_dir"), "--out", str(out)]) == 1
@@ -356,14 +368,21 @@ class TestCheck:
         assert main(["check", "--suite", "everything"]) == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_failing_suite_exits_3(self, capsys, monkeypatch):
-        report = CheckReport(
-            suite="identities",
-            results=(CheckResult(name="x", ok=False, detail="broken"),),
-        )
-        monkeypatch.setattr(cli, "check_suites", lambda which: report)
+    def test_prints_each_criterion_and_exits_3_on_failure(self, capsys, monkeypatch):
+        def passing():
+            return CheckResult("9a", True, "all fine")
+
+        def failing():
+            return CheckResult("9b", False, "off by 1.000e-03")
+
+        monkeypatch.setitem(harness.CHECK_SUITES, "identities", (passing, failing))
         assert main(["check", "--suite", "identities"]) == 3
-        assert "FAIL" in capsys.readouterr().out
+        assert capsys.readouterr().out.splitlines() == [
+            "suite identities:",
+            "  [ok  ] criterion 9a: all fine",
+            "  [FAIL] criterion 9b: off by 1.000e-03",
+            "suite identities: FAIL",
+        ]
 
 
 class TestEntryPoints:
