@@ -16,6 +16,10 @@ sweeps resumable: a finished per-run file is trusted and skipped.
 Evaluation protocol: at each recorded epoch the loss is averaged over
 eval_batches fresh held-out batches (never the training batch), and the
 bound/gap columns are derived from that average.
+
+The batches of an evaluation row or a study are independent: each is one
+task of losses._map_batches, which may run them on the tile pool, and their
+values are reduced in batch order, so no output depends on the thread count.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from .gaussian_world import (
 from .losses import (
     EmbeddingBatch,
     Method,
+    _map_batches,
     _NumericalError,
     compute_loss,
     l2_normalize,
@@ -92,8 +97,9 @@ class RunSpec:
             raise ValueError(f"infonce requires M = 2, got M = {self.m}")
         if not (0 < self.sigma0_sq < math.inf and 0 < self.sigma_sq < math.inf):
             raise ValueError("variances must be positive and finite")
-        if not 0 < self.tau < math.inf:
-            raise ValueError(f"tau must be positive and finite, got {self.tau}")
+        if not (0 < self.tau < math.inf and math.isfinite(1.0 / self.tau)):
+            raise ValueError(f"tau must be positive and finite with a finite reciprocal, "
+                             f"got {self.tau}")
         if self.eval_batches < 1:
             raise ValueError(f"eval_batches must be >= 1, got {self.eval_batches}")
         if self.record_stride < 1:
@@ -204,13 +210,14 @@ def read_csv_rows(path: str) -> list[RunRow]:
 
 def _eval_row(spec: RunSpec, params, epoch: int, train_loss: float | None) -> RunRow:
     cfg = spec.gaussian()
-    losses = []
-    for j in range(spec.eval_batches):
-        rng = streams.stream(spec.seed, streams.EVAL_BATCH, a=epoch, b=j)
-        batch = sample_batch(cfg, rng)
-        z = forward(params, batch.views)
-        losses.append(compute_loss(spec.method, z, spec.tau).total)
-    eval_loss = float(np.mean(losses))
+
+    def batch_loss(j: int) -> float:
+        batch = sample_batch(cfg, streams.stream(spec.seed, streams.EVAL_BATCH, a=epoch, b=j))
+        return compute_loss(spec.method, forward(params, batch.views), spec.tau).total
+
+    eval_loss = float(np.mean(_map_batches(batch_loss, spec.eval_batches, spec.k, spec.m)))
+    if not math.isfinite(eval_loss):
+        raise _NumericalError(f"evaluation loss is {eval_loss}")
     bound = bound_from_loss(spec.method, eval_loss, spec.k, spec.m)
     true_mi = spec.true_mi()
     rel = true_mi / bound if bound > 0 else None
@@ -237,24 +244,25 @@ def run_training(spec: RunSpec) -> RunRecord:
     params = init_params(streams.stream(spec.seed, streams.INIT))
     state = AdamWState.initial()
     cfg = spec.gaussian()
-    rows = [_eval_row(spec, params, 0, None)]
-
-    for epoch in range(1, spec.train.epochs + 1):
-        batch_key = 1 if spec.train.fixed_dataset else epoch
-        rng = streams.stream(spec.seed, streams.TRAIN_BATCH, a=batch_key)
-        batch = sample_batch(cfg, rng)
-        try:
+    rows: list[RunRow] = []
+    epoch = 0
+    try:
+        rows.append(_eval_row(spec, params, 0, None))
+        for epoch in range(1, spec.train.epochs + 1):
+            batch_key = 1 if spec.train.fixed_dataset else epoch
+            rng = streams.stream(spec.seed, streams.TRAIN_BATCH, a=batch_key)
+            batch = sample_batch(cfg, rng)
             result, grads = loss_and_grads(params, batch.views, spec.method, spec.tau)
             if not math.isfinite(result.total):
                 raise _NumericalError(f"training loss is {result.total}")
             params, state = adamw_step(params, grads, state, spec.train)
             if epoch % spec.record_stride == 0 or epoch == spec.train.epochs:
                 rows.append(_eval_row(spec, params, epoch, result.total))
-        except (_NumericalError, FloatingPointError) as exc:
-            raise NumericalFailure(
-                f"numerical failure at epoch {epoch}: {exc}",
-                RunRecord(spec=spec, rows=tuple(rows)),
-            ) from exc
+    except (_NumericalError, FloatingPointError) as exc:
+        raise NumericalFailure(
+            f"numerical failure at epoch {epoch}: {exc}",
+            RunRecord(spec=spec, rows=tuple(rows)),
+        ) from exc
 
     return RunRecord(spec=spec, rows=tuple(rows))
 
@@ -624,19 +632,21 @@ def variance_study(spec: RunSpec, n_batches: int) -> VarianceReport:
         return (compute_loss(Method.MULTICROP, z, spec.tau).per_sample,
                 loss_pair_infonce(z, 0, 1, spec.tau).per_sample)
 
-    # rows: conditional-variance sums (multicrop, pair), then sum/sumsq of
-    # the first draw's losses (multicrop, pair) for the total variances
-    stats = np.zeros((6, n_batches))
-    for i in range(n_batches):
+    def batch_stats(i: int) -> tuple[float, ...]:
         batch = sample_batch(cfg, streams.stream(spec.seed, streams.STUDY, a=i + 1))
         redraw = streams.stream(spec.seed, streams.STUDY, a=i + 1, b=1)
         views2 = batch.latents[:, None] + redraw.normal(0.0, noise_sd, size=(k, spec.m))
         mc, pair = losses(batch.views)
         mc2, pair2 = losses(views2)
-        stats[:, i] = (
+        return (
             0.5 * ((mc - mc2) ** 2).sum(), 0.5 * ((pair - pair2) ** 2).sum(),
             mc.sum(), (mc * mc).sum(), pair.sum(), (pair * pair).sum(),
         )
+
+    # rows: conditional-variance sums (multicrop, pair), then sum/sumsq of
+    # the first draw's losses (multicrop, pair) for the total variances;
+    # in C order, so that each row's sum runs along contiguous memory
+    stats = np.ascontiguousarray(np.transpose(_map_batches(batch_stats, n_batches, k, spec.m)))
 
     n = n_batches * k
     s = stats.sum(axis=1)
@@ -698,20 +708,19 @@ def validity_study(spec: RunSpec, n_batches: int = 64) -> ValidityReport:
     true_m = spec.true_mi()
     true_2 = true_one_vs_rest_mi(spec.sigma0_sq, spec.sigma_sq, 2)
 
-    gap_m = np.zeros(n_batches)
-    gap_pair = np.zeros(n_batches)
-    for i in range(n_batches):
+    def batch_gaps(i: int) -> tuple[float, float]:
         rng = streams.stream(spec.seed, streams.STUDY, a=i + 1)
         z = forward(params, sample_batch(cfg, rng).views)
         loss_m = compute_loss(spec.method, z, spec.tau).total
-        gap_m[i] = true_m - bound_from_loss(spec.method, loss_m, spec.k, spec.m)
         pair_gaps = []
         for beta in range(1, spec.m):
             sub = EmbeddingBatch(z=np.ascontiguousarray(z.z[:, (0, beta), :]))
             loss_2 = compute_loss(spec.method, sub, spec.tau).total
             pair_gaps.append(true_2 - bound_from_loss(spec.method, loss_2, spec.k, 2))
-        gap_pair[i] = np.mean(pair_gaps)
+        return true_m - bound_from_loss(spec.method, loss_m, spec.k, spec.m), np.mean(pair_gaps)
 
+    gap_m, gap_pair = np.ascontiguousarray(
+        np.transpose(_map_batches(batch_gaps, n_batches, spec.k, spec.m)))
     diff = gap_m - gap_pair
     return ValidityReport(
         method=spec.method.value,

@@ -29,17 +29,30 @@ candidate view, and symmetry is not used. A loss-only call runs pass 1 (the
 negative sums); gradients add pass 2, which recomputes each tile. All
 reductions run in float64 in a fixed order: equal inputs give equal bits.
 
-Tile threads: a call with several tiles runs them on a pool of threads, one
-whole tile per thread: in pass 1 its score GEMM, exp, mask and sums, in
-pass 2 its gradient products. The pool is made at the first such call, as
-wide as OpenBLAS's thread count then; from then on OpenBLAS runs one thread,
-so the tile threads take over its cores. The calling thread keeps the
-serial order: it writes each tile's sums into their own slices of the
-negative sums and adds each tile's gradient increments in tile order. Each
-tile's arithmetic is the same whichever thread runs it, and OpenBLAS splits
-a GEMM between its threads by blocks of the output, never within a dot
-product, so every output bit is the same at any width. Without a handle on numpy's OpenBLAS the width is 1 and the
-tiles run in order on the calling thread; so do single-tile calls.
+Threads: one ordered map, `_ordered_map`, runs two kinds of work on one
+pool of threads: the view tiles of a kernel call (in pass 1 a tile's score
+GEMM, exp, mask and sums, in pass 2 its gradient products), and whole-batch
+tasks, the independent held-out batches of an evaluation row or a study,
+each drawn, encoded and scored by one task. The pool is made at the first
+map with several items, as wide as OpenBLAS's thread count then; from then
+on OpenBLAS runs one thread, so the pool takes over its cores. The calling
+thread keeps the serial order: results come back in item order, so it
+writes each tile's sums into their own slices of the negative sums, adds
+each tile's gradient increments in tile order, and reduces the batches'
+values in batch order. Each item's arithmetic is the same whichever thread
+runs it, and OpenBLAS splits a GEMM between its threads by blocks of the
+output, never within a dot product, so every output bit is the same at any
+width. Without a handle on numpy's OpenBLAS the width is 1 and the items
+run in order on the calling thread; so do single-item maps.
+
+Two rules hold for the tasks. Nested calls run serially: a kernel call
+inside a task runs its tiles one after another on the task's thread, since
+a task that waited on its own pool would deadlock once every pool thread
+did the same. Buffers come from the calling thread: it allocates one per
+pool thread, sized for the largest tile that `_plan` gives at the batch's
+(K, M), and a task's kernel calls use its slot. Buffers that threads
+allocated themselves would grow one malloc arena per thread and raise the
+peak memory.
 """
 
 from __future__ import annotations
@@ -63,9 +76,11 @@ NORMALIZE_EPS = 1e-30
 _SHIFT_LIMIT = 700.0
 # Views are grouped into tiles of at most this many rows (at least one view).
 _TILE_ROWS = 1024
-# The tile pool as (width, executor or None), made at the first multi-tile call.
+# The tile pool as (width, executor or None), made at the first map with several items.
 _pool = None
 _pool_lock = threading.Lock()
+# The buffer of the task running in this context, or None outside any task.
+_task_buffer = contextvars.ContextVar("polyview_task_buffer", default=None)
 
 
 class _NumericalError(ValueError):
@@ -143,8 +158,10 @@ def l2_normalize(v: np.ndarray) -> np.ndarray:
 
 
 def _check_tau(tau: float) -> None:
-    if not (isinstance(tau, (int, float)) and math.isfinite(tau) and tau > 0):
-        raise ValueError(f"temperature tau must be a positive finite real, got {tau}")
+    if not (isinstance(tau, (int, float)) and math.isfinite(tau) and tau > 0
+            and math.isfinite(1.0 / tau)):
+        raise ValueError(f"temperature tau must be a positive finite real with a finite "
+                         f"reciprocal, got {tau}")
 
 
 # ---------------------------------------------------------------------------
@@ -232,38 +249,63 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_renew_pool_in_child)
 
 
-def _map_tiles(fn, tiles, tile_size):
-    """Yield fn(tile, buffer) for each tile, in tile order. Several tiles run
+def _ordered_map(fn, items, size):
+    """Yield fn(item, buffer) for each item, in item order. Several items run
     on the tile pool, each in a copy of the caller's context (numpy's error
     state is in it), with up to twice its width submitted, so that a thread
     the host delays holds up the others less. The calling thread allocates
-    one buffer of tile_size floats per pool thread, and a running tile takes
-    a free one: tile memory stays in the caller's malloc arena, not in one
-    arena per thread."""
-    width, pool = _tile_pool() if len(tiles) > 1 else (1, None)
+    one buffer of size floats per pool thread, and a running item takes a
+    free one. An item on the pool is a task: a map inside it runs serially
+    on the task's thread, with the task's buffer. If items raise, the first
+    one's error in item order is raised and the items not yet started are
+    cancelled."""
+    inside = _task_buffer.get()
+    width, pool = _tile_pool() if len(items) > 1 and inside is None else (1, None)
     if pool is None:
-        buffer = np.empty(tile_size)
-        for tile in tiles:
-            yield fn(tile, buffer)
+        buffer = np.empty(size) if inside is None else inside
+        for item in items:
+            yield fn(item, buffer)
         return
     free = queue.SimpleQueue()
     for _ in range(width):
-        free.put(np.empty(tile_size))
+        free.put(np.empty(size))
 
-    def run(tile):
+    def run(item):
         buffer = free.get()
+        _task_buffer.set(buffer)
         try:
-            return fn(tile, buffer)
+            return fn(item, buffer)
         finally:
             free.put(buffer)
 
     pending = deque()
-    for tile in tiles:
-        if len(pending) == 2 * width:
+    try:
+        for item in items:
+            if len(pending) == 2 * width:
+                yield pending.popleft().result()
+            pending.append(pool.submit(contextvars.copy_context().run, run, item))
+        while pending:
             yield pending.popleft().result()
-        pending.append(pool.submit(contextvars.copy_context().run, run, tile))
-    while pending:
-        yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
+
+
+def _largest_tile(k, m):
+    """Floats in the largest tile that _plan gives for K samples and at most
+    M views, without stacked batches."""
+    return (min(m, max(1, _TILE_ROWS // k)) * k) ** 2
+
+
+def _map_batches(fn, n, k, m):
+    """[fn(i) for i in range(n)]. With several batches and a pool, batch i is
+    a task of the ordered map, and its kernel calls, on K samples of at most
+    M views, fit in the task's buffer. Else the batches run in order on the
+    calling thread, with no buffer of the map's: one held unused through the
+    kernel calls would make each call fault its own tiles' pages in anew."""
+    if n > 1 and _tile_pool()[1] is not None:
+        return list(_ordered_map(lambda i, _: fn(i), range(n), _largest_tile(k, m)))
+    return [fn(i) for i in range(n)]
 
 
 def _exp_tile(a_hat, c_hat, k, tile, shift, fill, buffer):
@@ -325,7 +367,7 @@ def _candidate_set_loss(anchors, cands, tau, others, log_mean_exp, per_view, wan
 
     neg = np.empty((*lead, ma, k, mc))
     for (a0, a1, b0, b1, mirrored, _), (row_sums, col_sums) in zip(
-            tiles, _map_tiles(tile_sums, tiles, tile_size)):
+            tiles, _ordered_map(tile_sums, tiles, tile_size)):
         neg[..., a0:a1, :, b0:b1] = row_sums
         if mirrored:
             neg[..., b0:b1, :, a0:a1] = col_sums
@@ -390,7 +432,7 @@ def _candidate_set_loss(anchors, cands, tau, others, log_mean_exp, per_view, wan
             steps.append((grad_c, b0, b1, (e.transpose(2, 0, 3, 1) @ weighted).sum(axis=1)))
         return steps
 
-    for steps in _map_tiles(tile_increments, tiles, tile_size):
+    for steps in _ordered_map(tile_increments, tiles, tile_size):
         for grad, v0, v1, increment in steps:
             grad[v0:v1] += increment
     return per_sample, grad_a, grad_c

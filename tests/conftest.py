@@ -9,10 +9,12 @@ serve as independent oracles.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
-from polyview import streams
+from polyview import losses, streams
 from polyview.losses import EmbeddingBatch
 
 
@@ -33,6 +35,28 @@ def identical_embedding_batch(k: int, m: int, d: int, case: int = 0) -> Embeddin
     rng = streams.stream(11, streams.TEST, a=case)
     one = unit_rows(rng.standard_normal(size=(1, 1, d)))
     return EmbeddingBatch(z=np.ascontiguousarray(np.broadcast_to(one, (k, m, d)).copy()))
+
+
+class CountingPool(ThreadPoolExecutor):
+    def __init__(self, width):
+        super().__init__(width)
+        self.submitted = 0
+
+    def submit(self, *args, **kwargs):
+        self.submitted += 1
+        return super().submit(*args, **kwargs)
+
+
+def at_width(monkeypatch, width, compute):
+    """compute() with the tile pool forced to width threads, and the number
+    of items (tiles or batch tasks) the pool ran."""
+    pool = CountingPool(width) if width > 1 else None
+    monkeypatch.setattr(losses, "_pool", (width, pool))
+    try:
+        return compute(), (pool.submitted if pool else 0)
+    finally:
+        if pool is not None:
+            pool.shutdown()
 
 
 @pytest.fixture

@@ -194,6 +194,15 @@ class TestTrain:
         assert "epoch 3" in err and "partial record" in err
         assert read_csv_rows(out) == [make_row()]
 
+    def test_epoch0_failure_exits_2_with_empty_record(self, tmp_path, capsys):
+        out = str(tmp_path / "x.csv")
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["train", "--method", "geometric", "--m", "3", "--k", "8",
+                         "--epochs", "2", "--sigma0-sq", "1e308", "--out", out])
+        assert code == 2
+        assert "numerical failure at epoch 0" in capsys.readouterr().err
+        assert read_csv_rows(out) == []
+
 
 @pytest.fixture
 def sweep_config(tmp_path):
@@ -281,6 +290,19 @@ class TestSweep:
         text = capsys.readouterr().out
         assert "[failed]" in text and "0 ran, 0 cached, 1 failed" in text
 
+    def test_epoch0_failure_is_recorded(self, tmp_path, capsys):
+        config = {"methods": ["geometric"], "m_values": [3], "seeds": [0], "k": 8,
+                  "sigma0_sq": 1e308, "train": {"epochs": 2}, "eval_batches": 2}
+        config_path = tmp_path / "sweep.json"
+        config_path.write_text(json.dumps(config))
+        out = tmp_path / "runs"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["sweep", "--config", str(config_path), "--out", str(out)])
+        assert code == 2
+        assert "0 ran, 0 cached, 1 failed" in capsys.readouterr().out
+        failures = json.loads((out / "failures.json").read_text())
+        assert [f["message"].split(":")[0] for f in failures] == ["numerical failure at epoch 0"]
+
 
 @pytest.fixture
 def fake_runs(tmp_path):
@@ -348,6 +370,15 @@ class TestStudies:
     def test_variance_study_too_few_batches(self, capsys):
         assert main(["variance", "--m", "3", "--k", "64", "--batches", "8"]) == 1
         assert "at least 32" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["variance", "--m", "3", "--k", "16", "--batches", "32"],
+        ["validity", "--method", "geometric", "--m", "3", "--k", "16", "--batches", "4"],
+    ])
+    def test_tau_with_infinite_reciprocal_is_usage_error(self, capsys, command):
+        # Such a tau would make both studies print nan for every figure.
+        assert main([*command, "--tau", "1e-310"]) == 1
+        assert "finite reciprocal, got 1e-310" in capsys.readouterr().err
 
     def test_validity_study_output(self, capsys):
         assert main(

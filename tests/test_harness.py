@@ -8,13 +8,17 @@ the committed results/ dataset covers production scale.
 import json
 import math
 import os
+import sys
+import threading
+import time
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from polyview import harness
+from conftest import at_width
+from polyview import harness, losses, streams
 from polyview.bounds import bound_from_loss, variance_bound_factor
 from polyview.gaussian_world import true_one_vs_rest_mi
 from polyview.harness import (
@@ -31,8 +35,9 @@ from polyview.harness import (
     validity_study,
     variance_study,
 )
-from polyview.losses import Method
-from polyview.tinynn import TrainConfig
+from polyview.gaussian_world import sample_batch
+from polyview.losses import LossResult, Method, _NumericalError, compute_loss
+from polyview.tinynn import TrainConfig, forward, init_params
 
 REPO = Path(__file__).resolve().parent.parent
 # The on-disk header of a per-run CSV, spelled out here as a pin: the code
@@ -68,6 +73,7 @@ class TestRunSpec:
             dict(record_stride=0),
             dict(seed=2**64),
             dict(tau=math.inf),
+            dict(tau=1e-310),  # 1/tau overflows to inf
             dict(sigma0_sq=math.inf),
             dict(sigma_sq=math.inf),
         ],
@@ -176,6 +182,24 @@ class TestRunTraining:
                 run_training(spec)
         assert "epoch 1" in str(excinfo.value)
         assert [r.epoch for r in excinfo.value.record.rows] == [0]
+
+    def test_epoch0_eval_failure_also_wrapped(self):
+        # Latents of variance 1e308 overflow the encoder's output norms, so
+        # the first evaluation fails before anything is recorded.
+        spec = tiny_spec(method=Method.GEOMETRIC_PVC, m=3, sigma0_sq=1e308)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalFailure, match="epoch 0: rows must be unit norm") as excinfo:
+                run_training(spec)
+        assert excinfo.value.record.rows == ()
+
+    def test_non_finite_eval_loss_is_numerical_failure(self, monkeypatch):
+        def nan_loss(method, z, tau):
+            return LossResult.from_per_sample(np.full(z.z.shape[0], np.nan))
+
+        monkeypatch.setattr(harness, "compute_loss", nan_loss)
+        with pytest.raises(NumericalFailure, match="epoch 0: evaluation loss is nan") as excinfo:
+            run_training(tiny_spec())
+        assert excinfo.value.record.rows == ()
 
 
 class TestCsvRoundTrip:
@@ -603,6 +627,112 @@ class TestValidityStudy:
             report.gap_m - report.mean_pairwise_gap, abs=1e-12
         )
         assert "method=geometric" in report.lines()[0]
+
+
+# A kernel call inside a batch task with more than one view tile: at K = 16,
+# sixteen rows make one view per tile.
+TASK_TILE_ROWS = 16
+WIDTHS = [1, 2, 4]
+
+
+def at_widths(monkeypatch, compute):
+    """compute() at each pool width of WIDTHS, with short switch intervals
+    under threads, and the number of items each width's pool ran."""
+    monkeypatch.setattr(losses, "_TILE_ROWS", TASK_TILE_ROWS)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        return [at_width(monkeypatch, width, compute) for width in WIDTHS]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class TestBatchTasks:
+    """Independent batches run as tasks on the tile pool; no output bit
+    depends on its width."""
+
+    @pytest.mark.parametrize("method", [Method.MULTICROP, Method.GEOMETRIC_PVC, Method.SUFFSTATS])
+    def test_eval_row_equals_serial_loop(self, monkeypatch, method):
+        spec = tiny_spec(method=method, m=3, k=16, eval_batches=5)
+        params = init_params(streams.stream(0, streams.TEST, a=5))
+        monkeypatch.setattr(losses, "_TILE_ROWS", TASK_TILE_ROWS)
+        losses_by_batch = []
+        for j in range(spec.eval_batches):
+            batch = sample_batch(spec.gaussian(),
+                                 streams.stream(spec.seed, streams.EVAL_BATCH, a=3, b=j))
+            losses_by_batch.append(compute_loss(method, forward(params, batch.views), spec.tau).total)
+        want = float(np.mean(losses_by_batch))
+        for width, (row, ran) in zip(WIDTHS, at_widths(
+                monkeypatch, lambda: harness._eval_row(spec, params, 3, 0.25))):
+            assert row.eval_loss.hex() == want.hex()
+            assert row.bound == bound_from_loss(method, want, spec.k, spec.m)
+            # One task per batch; the kernel calls inside them submit nothing.
+            assert ran == (spec.eval_batches if width > 1 else 0)
+
+    @pytest.mark.parametrize("method", [Method.ARITHMETIC_PVC, Method.SUFFSTATS])
+    def test_run_training_same_bytes_at_every_width(self, monkeypatch, method):
+        spec = tiny_spec(method=method, m=3, k=16, eval_batches=3)
+        runs = at_widths(monkeypatch, lambda: run_training(spec).to_csv_text())
+        assert len({text for text, _ in runs}) == 1
+        assert [ran > 0 for _, ran in runs] == [False, True, True]
+
+    def test_variance_report_equals_serial_at_every_width(self, monkeypatch):
+        # The serial loop gave these at the same tile size.
+        want = harness.VarianceReport(
+            m=3, k=16, n_batches=32, var_multicrop=0.035662912458595444,
+            var_pair=0.0700387323191826, ratio=0.5091884344232753,
+            ci_low=0.41366748993972546, ci_high=0.6327312160796791,
+            theoretical_factor=0.5555555555555556, total_ratio=0.6291077793977836)
+        spec = RunSpec(method=Method.MULTICROP, m=3, k=16)
+        for report, _ in at_widths(monkeypatch, lambda: variance_study(spec, 32)):
+            assert report == want
+
+    @pytest.mark.parametrize("method,want", [
+        (Method.GEOMETRIC_PVC, (0.3416283560571837, 0.24026538613066512,
+                                0.10136296992651854, 0.005318207151279104)),
+        (Method.SUFFSTATS, (0.31266230275405227, 0.24026538613066512,
+                            0.07239691662338715, 0.00505063052294103)),
+    ])
+    def test_validity_report_equals_serial_at_every_width(self, monkeypatch, method, want):
+        # The serial loop gave these at the same tile size. 13 batches: the
+        # pairwise sum of 8 values has the same bits in either order.
+        spec = RunSpec(method=method, m=3, k=16)
+        for report, _ in at_widths(monkeypatch, lambda: validity_study(spec, 13)):
+            assert (report.gap_m, report.mean_pairwise_gap, report.diff,
+                    report.diff_stderr) == want
+
+    def test_error_state_reaches_tasks(self, monkeypatch):
+        seen = []
+
+        def recording_loss(method, z, tau):
+            seen.append((threading.current_thread() is threading.main_thread(), np.geterr()))
+            return compute_loss(method, z, tau)
+
+        monkeypatch.setattr(harness, "compute_loss", recording_loss)
+        spec = tiny_spec(method=Method.GEOMETRIC_PVC, m=3, k=16, eval_batches=4)
+        params = init_params(streams.stream(spec.seed, streams.INIT))
+        with np.errstate(all="raise"):
+            wanted = np.geterr()
+            at_width(monkeypatch, 2, lambda: harness._eval_row(spec, params, 0, None))
+        assert len(seen) == 4 and not any(on_main for on_main, _ in seen)
+        assert all(state == wanted for _, state in seen)
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_first_failing_batch_in_order_wins(self, monkeypatch, width):
+        # Batch 1 fails late and batch 3 at once: batch 1's error is raised.
+        real_stream = streams.stream
+
+        def failing_stream(seed, purpose, a=0, b=0):
+            if purpose == streams.EVAL_BATCH and b in (1, 3):
+                if b == 1:
+                    time.sleep(0.2)
+                raise _NumericalError(f"batch {b} failed")
+            return real_stream(seed, purpose, a=a, b=b)
+
+        monkeypatch.setattr(streams, "stream", failing_stream)
+        spec = tiny_spec(method=Method.GEOMETRIC_PVC, m=3, k=16, eval_batches=4)
+        with pytest.raises(NumericalFailure, match="epoch 0: batch 1 failed"):
+            at_width(monkeypatch, width, lambda: run_training(spec))
 
 
 class TestCheckSuites:

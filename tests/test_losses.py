@@ -13,7 +13,6 @@ import math
 import os
 import subprocess
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -22,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import identical_embedding_batch, random_embedding_batch, unit_rows
+from conftest import at_width, identical_embedding_batch, random_embedding_batch, unit_rows
 from polyview import losses, streams
 from polyview.losses import (
     EmbeddingBatch,
@@ -279,6 +278,15 @@ class TestIdentities:
         b = compute_loss(Method.MULTICROP, batch, TAU)
         assert a.total == b.total
 
+    @pytest.mark.parametrize("tau", [0.0, -0.5, math.inf, math.nan, 1e-310])
+    def test_rejects_bad_temperature(self, tau):
+        # 1e-310 is positive and finite, but its reciprocal overflows to inf.
+        batch = random_embedding_batch(3, 2, 2, case=44)
+        with pytest.raises(ValueError, match="temperature tau"):
+            compute_loss(Method.GEOMETRIC_PVC, batch, tau)
+        with pytest.raises(ValueError, match="temperature tau"):
+            loss_pair_infonce(batch, 0, 1, tau)
+
     def test_infonce_requires_two_views(self):
         batch = random_embedding_batch(3, 3, 2, case=43)
         with pytest.raises(ValueError):
@@ -506,28 +514,6 @@ class TestTiling:
         assert err < 1e-5, f"{method}: max relative gradient error {err:.3e}"
 
 
-class CountingPool(ThreadPoolExecutor):
-    def __init__(self, width):
-        super().__init__(width)
-        self.submitted = 0
-
-    def submit(self, *args, **kwargs):
-        self.submitted += 1
-        return super().submit(*args, **kwargs)
-
-
-def at_width(monkeypatch, width, compute):
-    """compute() with the tile pool forced to width threads, and the number
-    of tiles the pool ran."""
-    pool = CountingPool(width) if width > 1 else None
-    monkeypatch.setattr(losses, "_pool", (width, pool))
-    try:
-        return compute(), (pool.submitted if pool else 0)
-    finally:
-        if pool is not None:
-            pool.shutdown()
-
-
 def kernel_outputs(method, batch, tau):
     result, grad = _loss_and_zgrad(method, batch, tau)
     loss_only = compute_loss(method, batch, tau)
@@ -622,16 +608,22 @@ def test_import_starts_no_thread_and_pool_takes_blas_width():
 FORKED_CHILD = """
 import os, sys, time
 import numpy as np
-from polyview import losses
+from polyview import harness, losses, streams, tinynn
 
 losses._TILE_ROWS = 4
 raw = np.random.default_rng(0).normal(size=(4, 3, 2))
 batch = losses.EmbeddingBatch(z=losses.l2_normalize(raw))
-want = losses.compute_loss(losses.Method.GEOMETRIC_PVC, batch, 0.5).total
+spec = harness.RunSpec(method=losses.Method.GEOMETRIC_PVC, m=3, k=4, eval_batches=6)
+params = tinynn.init_params(streams.stream(0, streams.INIT))
+
+def outputs():
+    return (losses.compute_loss(losses.Method.GEOMETRIC_PVC, batch, 0.5).total,
+            harness._eval_row(spec, params, 0, None))
+
+want = outputs()
 pid = os.fork()
 if pid == 0:
-    got = losses.compute_loss(losses.Method.GEOMETRIC_PVC, batch, 0.5).total
-    os._exit(0 if got == want else 1)
+    os._exit(0 if outputs() == want else 1)
 deadline = time.monotonic() + 20
 while time.monotonic() < deadline:
     done, status = os.waitpid(pid, os.WNOHANG)
@@ -653,6 +645,31 @@ def test_forked_child_runs_multi_tile_calls():
                           env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "2"},
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+NESTED_CALLS = """
+from concurrent.futures import ThreadPoolExecutor
+from polyview import harness, losses, streams, tinynn
+
+# Every thread of a width-2 pool runs a batch task whose kernel calls have
+# six view tiles each, with two more tasks queued behind them.
+losses._TILE_ROWS = 4
+losses._pool = (2, ThreadPoolExecutor(2))
+spec = harness.RunSpec(method=losses.Method.GEOMETRIC_PVC, m=3, k=4, eval_batches=8)
+params = tinynn.init_params(streams.stream(0, streams.INIT))
+print(harness._eval_row(spec, params, 0, None).eval_loss)
+"""
+
+
+def test_kernel_calls_inside_batch_tasks_cannot_deadlock():
+    # A task whose kernel call queued its tiles on the task's own pool would
+    # wait for threads that all wait the same way.
+    src = str(Path(losses.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", NESTED_CALLS], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert math.isfinite(float(proc.stdout))
 
 
 # ---------------------------------------------------------------------------
