@@ -47,6 +47,7 @@ from .gaussian_world import (
 from .losses import (
     EmbeddingBatch,
     Method,
+    _check_tau,
     _map_batches,
     _NumericalError,
     compute_loss,
@@ -97,9 +98,7 @@ class RunSpec:
             raise ValueError(f"infonce requires M = 2, got M = {self.m}")
         if not (0 < self.sigma0_sq < math.inf and 0 < self.sigma_sq < math.inf):
             raise ValueError("variances must be positive and finite")
-        if not (0 < self.tau < math.inf and math.isfinite(1.0 / self.tau)):
-            raise ValueError(f"tau must be positive and finite with a finite reciprocal, "
-                             f"got {self.tau}")
+        _check_tau(self.tau)
         if self.eval_batches < 1:
             raise ValueError(f"eval_batches must be >= 1, got {self.eval_batches}")
         if self.record_stride < 1:
@@ -657,18 +656,25 @@ def variance_study(spec: RunSpec, n_batches: int) -> VarianceReport:
     boot_rng = streams.stream(spec.seed, streams.STUDY, a=0, b=1)
     draws = boot_rng.integers(0, n_batches, size=(2000, n_batches))
     boot = stats[:2, draws].sum(axis=-1)  # (2, 2000) resampled conditional sums
-    lo, hi = np.quantile(boot[0] / boot[1], [0.005, 0.995])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio, total_ratio = var_mc / var_pair, total_mc / total_pair
+        lo, hi = np.quantile(boot[0] / boot[1], [0.005, 0.995])
+    # A pair loss that does not vary, as at a large tau where every loss is
+    # ln K, leaves the ratios undefined.
+    if not np.isfinite([ratio, lo, hi, total_ratio]).all():
+        raise ValueError(f"a variance ratio is not finite at tau = {spec.tau}: the pair "
+                         f"loss varies too little over these draws")
     return VarianceReport(
         m=spec.m,
         k=k,
         n_batches=n_batches,
         var_multicrop=float(var_mc),
         var_pair=float(var_pair),
-        ratio=float(var_mc / var_pair),
+        ratio=float(ratio),
         ci_low=float(lo),
         ci_high=float(hi),
         theoretical_factor=variance_bound_factor(spec.m),
-        total_ratio=float(total_mc / total_pair),
+        total_ratio=float(total_ratio),
     )
 
 

@@ -64,6 +64,7 @@ import functools
 import math
 import os
 import queue
+import sys
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -72,6 +73,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 NORMALIZE_EPS = 1e-30
+# Every loss lies in [0, 2/tau + ln(candidates)], and ln(candidates) <= 37
+# for any count a double holds exactly (2**53). The studies square sums of
+# up to 2**53 losses; at tau >= MIN_TAU such a square stays below the largest
+# double, since 2**53 * (2/tau + 37) <= sqrt(max) there.
+MIN_TAU = 2.0**54 / (math.sqrt(sys.float_info.max) - 37 * 2.0**53)
 # exp(-700) is still a normal double; below tau = 2/700 rows take their own max.
 _SHIFT_LIMIT = 700.0
 # Views are grouped into tiles of at most this many rows (at least one view).
@@ -158,10 +164,9 @@ def l2_normalize(v: np.ndarray) -> np.ndarray:
 
 
 def _check_tau(tau: float) -> None:
-    if not (isinstance(tau, (int, float)) and math.isfinite(tau) and tau > 0
-            and math.isfinite(1.0 / tau)):
-        raise ValueError(f"temperature tau must be a positive finite real with a finite "
-                         f"reciprocal, got {tau}")
+    if not (isinstance(tau, (int, float)) and MIN_TAU <= tau < math.inf):
+        raise ValueError(f"temperature tau must be a finite real >= {MIN_TAU:.3g}, at which "
+                         f"squared losses cannot overflow, got {tau}")
 
 
 # ---------------------------------------------------------------------------
@@ -498,12 +503,14 @@ def _per_sample_loss(method: Method, zt: np.ndarray, tau: float, want_grad: bool
                                    method in (Method.INFONCE, Method.MULTICROP), want_grad)[:2]
     # Candidates: rest-set statistics q_v = normalize((sum_b z_b - z_v) / (M-1)).
     m = zt.shape[-3]
-    u = (zt.sum(axis=-3, keepdims=True) - zt) / (m - 1)
+    u = zt.sum(axis=-3, keepdims=True) - zt
+    u /= m - 1
     u_norms = np.linalg.norm(u, axis=-1, keepdims=True)
     if np.any(u_norms <= NORMALIZE_EPS):
         raise _NumericalError(
             "rest-set mean has near-zero norm (antipodal views); cannot normalize")
-    q = u / u_norms
+    q = u
+    q /= u_norms
     per_sample, grad, grad_q = _candidate_set_loss(zt, q, tau, False, False, False, want_grad)
     if want_grad:
         grad_u = (grad_q - np.sum(grad_q * q, axis=-1, keepdims=True) * q) / u_norms

@@ -5,8 +5,10 @@ erf-form GeLU between them, then l2-normalizes each 32-dim output. All
 gradients (through normalization, scoring, and each contrastive loss) are
 derived by hand and checked against the central finite-difference oracle in
 this module; no autodiff anywhere. The oracle scores every perturbed
-parameter set through the same encoder and loss kernel, a chunk of sets at
-a time on a leading set axis.
+parameter set through the same encoder and loss kernel, 128 sets per pass
+on a leading set axis, serially in the calling thread. A pass frees its
+weight stacks and embeddings before its kernel pass, and the forward pass
+works in place where the bits cannot change, so the wide passes stay small.
 
 Everything is float64 and functional: forward, loss_and_grads and adamw_step
 take and return immutable dataclasses, so equal inputs give bit-equal outputs.
@@ -35,9 +37,14 @@ D_HIDDEN = 32
 D_OUT = 32
 
 _PARAM_FIELDS = ("w1", "b1", "w2", "b2")
-# Perturbed parameter sets per oracle pass. Speed is flat from 32 to 256 sets;
-# memory is not: a set's stacked weights and scores take about 30 KiB.
-_FD_CHUNK = 32
+# Perturbed parameter sets per oracle pass. Each pass pays a fixed Python
+# cost, and memory grows with the width. Best of 9 on a 2-core host, ms per
+# (4, 3) batch: 34.4 at 32 sets, 32.5 at 96, 29.5 at 128, 29.8 at 192, 35.1
+# at 384; the tracemalloc peak of a (3, 4) suffstats call is 2.2 MiB at 96
+# or 128 sets, 3.3 at 160 and 3.9 at 192. At 12 views a set holds about
+# 15 KiB in the forward pass, 8 KiB of it its w2 stack. At 128 no pass
+# stacks both layers: the first perturbs w1 and b1, the rest w2 or b2.
+_FD_CHUNK = 128
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -144,7 +151,11 @@ def gelu(x: np.ndarray) -> np.ndarray:
     """Exact GeLU x * Phi(x) via the error function (no tanh approximation,
     so finite differences have a single ground truth)."""
     x = np.asarray(x, dtype=np.float64)
-    return 0.5 * x * (1.0 + erf(x * _INV_SQRT2))
+    # In place, with the same bits: the last product only swaps its factors.
+    out = erf(x * _INV_SQRT2)
+    out += 1.0
+    out *= 0.5 * x
+    return out
 
 
 def gelu_grad(x: np.ndarray) -> np.ndarray:
@@ -155,7 +166,8 @@ def gelu_grad(x: np.ndarray) -> np.ndarray:
 
 
 def _forward_trace(views: np.ndarray, w1, b1, w2, b2):
-    """Forward pass keeping the intermediates the backward pass needs.
+    """Forward pass keeping the intermediates the backward pass needs:
+    x, h1, a1, the norms of h2 and z = h2 / norms, which takes h2's memory.
 
     The weights may carry a leading parameter-set axis (a bias then has
     shape (S, 1, n)); the outputs broadcast over it, so a first layer whose
@@ -168,14 +180,23 @@ def _forward_trace(views: np.ndarray, w1, b1, w2, b2):
         raise _NumericalError("views contain non-finite values")
     k, m = views.shape
     x = views.reshape(k * m, D_IN)
-    h1 = x @ np.swapaxes(w1, -1, -2) + b1
+    h1 = _add_bias(x @ np.swapaxes(w1, -1, -2), b1)
     a1 = gelu(h1)
-    h2 = a1 @ np.swapaxes(w2, -1, -2) + b2
+    h2 = _add_bias(a1 @ np.swapaxes(w2, -1, -2), b2)
     norms = np.linalg.norm(h2, axis=-1, keepdims=True)
     if np.any(norms <= 1e-30):
         raise _NumericalError("encoder produced a zero pre-normalization vector")
-    z = h2 / norms
-    return x, h1, a1, h2, norms, z.reshape(*z.shape[:-2], k, m, D_OUT)
+    h2 /= norms
+    return x, h1, a1, norms, h2.reshape(*h2.shape[:-2], k, m, D_OUT)
+
+
+def _add_bias(product: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """product + bias, in product's memory when the sum has its shape; the
+    sum's bits are the same either way."""
+    if np.broadcast_shapes(product.shape, bias.shape) != product.shape:
+        return product + bias
+    product += bias
+    return product
 
 
 def forward(params: MlpParams, views: np.ndarray) -> EmbeddingBatch:
@@ -188,12 +209,12 @@ def loss_and_grads(
 ) -> tuple[LossResult, MlpParams]:
     """One fused pass: compute_loss(method, forward(params, views), tau) plus
     its exact gradient with respect to every parameter, in MlpParams shape."""
-    x, h1, a1, h2, norms, z = _forward_trace(views, **params.as_dict())
+    x, h1, a1, norms, z = _forward_trace(views, **params.as_dict())
     result, dz = _loss_and_zgrad(method, EmbeddingBatch(z=z), tau, want_grad=True)
     dz_flat = dz.reshape(-1, D_OUT)
 
     # Through z = h2 / |h2|: dh2 = (dz - (dz . z) z) / |h2|.
-    z_flat = h2 / norms
+    z_flat = z.reshape(-1, D_OUT)
     inner = np.sum(dz_flat * z_flat, axis=1, keepdims=True)
     dh2 = (dz_flat - inner * z_flat) / norms
 
@@ -218,10 +239,10 @@ def finite_difference_grads(
 
     Each of the 2 * #params perturbed sets is scored as
     compute_loss(method, forward(set, views), tau).total would score it, with
-    the same checks on each set, but _FD_CHUNK sets at a time: one stacked
-    encoder pass and one loss-kernel pass per chunk, and a chunk that
-    perturbs only the second layer shares one first layer. Meant for small
-    batches only.
+    the same checks on each set and the same bits at any width, but
+    _FD_CHUNK sets at a time: each group takes one stacked encoder pass and
+    one loss-kernel pass, and a group that perturbs only the second layer
+    shares one first layer. Meant for small batches only.
     """
     # One unperturbed evaluation checks the views, method and tau as the
     # first evaluation of a per-entry loop would.
@@ -244,23 +265,32 @@ def _perturbed_losses(base: dict, views, method: Method, tau: float, h: float) -
     losses = np.empty(n_sets)
     for first in range(0, n_sets, _FD_CHUNK):
         sets = np.arange(first, min(first + _FD_CHUNK, n_sets))
-        entry, step = sets // 2, np.where(sets % 2 == 0, h, -h)
-        weights = {}
-        for name, lo, hi in zip(_PARAM_FIELDS, offsets[:-1], offsets[1:]):
-            hit = np.flatnonzero((entry >= lo) & (entry < hi))
-            if hit.size == 0:
-                weights[name] = base[name]
-                continue
-            stack = np.repeat(base[name][None], sets.size, axis=0)
-            stack.reshape(sets.size, -1)[hit, entry[hit] - lo] += step[hit]
-            weights[name] = stack if stack.ndim == 3 else stack[:, None, :]
-        z = _forward_trace(views, **weights)[-1]
+        # The weight stacks die with the call, and z once zt holds its copy:
+        # the kernel pass holds neither.
+        z = _forward_trace(views, **_perturbed_weights(base, offsets, sets, h))[-1]
         # EmbeddingBatch checks each row, so one batch of every set's samples
-        # checks the whole chunk.
+        # checks the whole pass.
         EmbeddingBatch(z=z.reshape(-1, *z.shape[-2:]))
         zt = np.ascontiguousarray(np.swapaxes(z, -3, -2))
+        del z
         losses[sets] = _per_sample_loss(method, zt, tau, False)[0].mean(axis=-1)
     return losses
+
+
+def _perturbed_weights(base: dict, offsets: np.ndarray, sets: np.ndarray, h: float) -> dict:
+    """The weights of the given sets: a tensor that some set perturbs as a
+    stack on a leading set axis (a bias as (S, 1, n)), any other as base's."""
+    entry, step = sets // 2, np.where(sets % 2 == 0, h, -h)
+    weights = {}
+    for name, lo, hi in zip(_PARAM_FIELDS, offsets[:-1], offsets[1:]):
+        hit = np.flatnonzero((entry >= lo) & (entry < hi))
+        if hit.size == 0:
+            weights[name] = base[name]
+            continue
+        stack = np.repeat(base[name][None], sets.size, axis=0)
+        stack.reshape(sets.size, -1)[hit, entry[hit] - lo] += step[hit]
+        weights[name] = stack if stack.ndim == 3 else stack[:, None, :]
+    return weights
 
 
 def max_relative_grad_error(analytic: MlpParams, numeric: MlpParams) -> float:

@@ -378,7 +378,26 @@ class TestStudies:
     def test_tau_with_infinite_reciprocal_is_usage_error(self, capsys, command):
         # Such a tau would make both studies print nan for every figure.
         assert main([*command, "--tau", "1e-310"]) == 1
-        assert "finite reciprocal, got 1e-310" in capsys.readouterr().err
+        assert "tau must be a finite real >= 1.34e-138" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["variance", "--m", "3", "--k", "16", "--batches", "32"],
+        ["validity", "--method", "geometric", "--m", "3", "--k", "16", "--batches", "8"],
+    ])
+    def test_tau_whose_squared_losses_overflow_is_usage_error(self, capsys, command):
+        # At this tau the variance study printed inf and nan, and the
+        # validity study an inf stderr, and both exited 0.
+        assert main([*command, "--tau", "1e-160"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: temperature tau must be a finite real >= 1.34e-138" in captured.err
+        assert "got 1e-160" in captured.err
+
+    def test_variance_study_without_pair_loss_variance_is_usage_error(self, capsys):
+        # At tau = 1e30 every loss is ln K: the variance ratio is 0 / 0.
+        assert main(["variance", "--m", "3", "--k", "16", "--batches", "32",
+                     "--tau", "1e30"]) == 1
+        assert "a variance ratio is not finite at tau = 1e+30" in capsys.readouterr().err
 
     def test_validity_study_output(self, capsys):
         assert main(

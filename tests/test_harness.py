@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import at_width
 from polyview import harness, losses, streams
@@ -76,6 +78,7 @@ class TestRunSpec:
             dict(tau=1e-310),  # 1/tau overflows to inf
             dict(sigma0_sq=math.inf),
             dict(sigma_sq=math.inf),
+            dict(tau=1e-160),  # a squared loss can overflow
         ],
     )
     def test_rejects_bad_fields(self, kw):
@@ -627,6 +630,26 @@ class TestValidityStudy:
             report.gap_m - report.mean_pairwise_gap, abs=1e-12
         )
         assert "method=geometric" in report.lines()[0]
+
+
+class TestStudiesOverTheTauDomain:
+    """Every accepted tau, its log drawn from [ln MIN_TAU, ln of the largest
+    double], gives finite study figures or a ValueError."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(log_tau=st.floats(math.log(losses.MIN_TAU), math.log(sys.float_info.max)),
+           k=st.integers(2, 4), m=st.integers(2, 3), seed=st.integers(0, 99),
+           method=st.sampled_from(list(Method)))
+    def test_finite_or_refused(self, log_tau, k, m, seed, method):
+        spec = tiny_spec(method=method, m=2 if method is Method.INFONCE else m, k=k,
+                         seed=seed, tau=max(losses.MIN_TAU, math.exp(log_tau)))
+        for study, n_batches in ((variance_study, 32), (validity_study, 3)):
+            try:
+                report = study(spec, n_batches)
+            except ValueError:
+                continue
+            figures = [v for v in vars(report).values() if isinstance(v, float)]
+            assert np.isfinite(figures).all(), report
 
 
 # A kernel call inside a batch task with more than one view tile: at K = 16,

@@ -278,9 +278,11 @@ class TestIdentities:
         b = compute_loss(Method.MULTICROP, batch, TAU)
         assert a.total == b.total
 
-    @pytest.mark.parametrize("tau", [0.0, -0.5, math.inf, math.nan, 1e-310])
+    @pytest.mark.parametrize("tau", [0.0, -0.5, math.inf, math.nan, 1e-310, 1e-160,
+                                     np.nextafter(losses.MIN_TAU, 0.0)])
     def test_rejects_bad_temperature(self, tau):
-        # 1e-310 is positive and finite, but its reciprocal overflows to inf.
+        # 1e-310 is positive and finite, but its reciprocal overflows to inf;
+        # below MIN_TAU a squared loss can overflow.
         batch = random_embedding_batch(3, 2, 2, case=44)
         with pytest.raises(ValueError, match="temperature tau"):
             compute_loss(Method.GEOMETRIC_PVC, batch, tau)

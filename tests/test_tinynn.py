@@ -9,11 +9,12 @@ units are active, making the algebra short enough to do on paper.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import unit_rows
+from conftest import at_width, unit_rows
 from polyview import losses, streams, tinynn
 from polyview.losses import Method, compute_loss
 from polyview.tinynn import (
@@ -294,6 +295,43 @@ class TestBatchedOracle:
         loop_finite_difference_grads(params, views, method, tau, set_losses=want)
         got = tinynn._perturbed_losses(params.as_dict(), views, method, tau, 1e-6)
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("tau", [0.5, 1e-3])
+    @pytest.mark.parametrize("method, shape", [
+        pytest.param(method, shape, id=f"{method.value}-{shape[0]}x{shape[1]}")
+        for shape in ((2, 2), (4, 3)) for method in ALL_METHODS
+        if method is not Method.INFONCE or shape[1] == 2])
+    def test_set_losses_do_not_depend_on_pass_width(self, monkeypatch, method, shape, tau):
+        # At 8 tile rows a K = 4 kernel call has tiles of two views, one of
+        # them ragged at M = 3. The tiles run in order on this thread, as a
+        # small batch's single tile does: the pool's bits are tested in
+        # test_losses.py, and 2,240 one-set passes through it take twice as long.
+        monkeypatch.setattr(losses, "_TILE_ROWS", 8)
+        params = init_params(rng_for(23))
+        views = random_views(*shape, case=13)
+        got = {}
+        for chunk in (1, 32, tinynn._FD_CHUNK):
+            monkeypatch.setattr(tinynn, "_FD_CHUNK", chunk)
+            got[chunk] = at_width(monkeypatch, 1, lambda: tinynn._perturbed_losses(
+                params.as_dict(), views, method, tau, 1e-6))[0]
+        for chunk, set_losses in got.items():
+            assert np.array_equal(set_losses, got[1]), chunk
+
+    def test_peak_memory_of_one_call(self):
+        # tracemalloc sees numpy's buffers. This call peaked at 2.18 MiB with
+        # 128 sets per pass, and at 3.76 MiB when each pass still held its
+        # weight stacks and z through the kernel and the forward pass and the
+        # rest-set mean had no in-place steps.
+        params = init_params(rng_for(24))
+        views = random_views(3, 4, case=14)
+        finite_difference_grads(params, views, Method.SUFFSTATS, 0.5)  # fills the plan cache
+        tracemalloc.start()
+        try:
+            finite_difference_grads(params, views, Method.SUFFSTATS, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 2**20, f"{peak / 2**20:.2f} MiB"
 
     @pytest.mark.parametrize("case", ["batch_4x3", "collapsed", "small_tau"])
     def test_matches_loop_oracle(self, case):
