@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import streams
 
@@ -125,8 +124,11 @@ def mi_via_gaussian_kl(sigma0_sq: float, sigma_sq: float, m: int) -> float:
         KL(N(0, S) || N(0, S~)) = 0.5 * (tr(S~^{-1} S) - M + ln det S~ - ln det S)
 
     with Cholesky factorizations. Independent of true_one_vs_rest_mi; serves
-    as its oracle. M is capped at MATRIX_ORACLE_MAX_M.
+    as its oracle. M is capped at MATRIX_ORACLE_MAX_M. scipy.linalg is
+    imported here, so that only this oracle pays for loading it.
     """
+    import scipy.linalg
+
     _check_variances(sigma0_sq, sigma_sq)
     if m < 2:
         raise ValueError(f"multiplicity m must be >= 2, got {m}")

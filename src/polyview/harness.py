@@ -637,22 +637,24 @@ def variance_study(spec: RunSpec, n_batches: int) -> VarianceReport:
         views2 = batch.latents[:, None] + redraw.normal(0.0, noise_sd, size=(k, spec.m))
         mc, pair = losses(batch.views)
         mc2, pair2 = losses(views2)
+        mean_mc, mean_pair = mc.mean(), pair.mean()
         return (
             0.5 * ((mc - mc2) ** 2).sum(), 0.5 * ((pair - pair2) ** 2).sum(),
-            mc.sum(), (mc * mc).sum(), pair.sum(), (pair * pair).sum(),
+            mean_mc, ((mc - mean_mc) ** 2).sum(), mean_pair, ((pair - mean_pair) ** 2).sum(),
         )
 
-    # rows: conditional-variance sums (multicrop, pair), then sum/sumsq of
-    # the first draw's losses (multicrop, pair) for the total variances;
-    # in C order, so that each row's sum runs along contiguous memory
+    # rows: conditional-variance sums (multicrop, pair), then the mean and
+    # centred sum of squares of the first draw's losses (multicrop, pair) for
+    # the total variances; in C order, so that each row's sum runs along
+    # contiguous memory
     stats = np.ascontiguousarray(np.transpose(_map_batches(batch_stats, n_batches, k, spec.m)))
 
     n = n_batches * k
     s = stats.sum(axis=1)
     var_mc = s[0] / n
     var_pair = s[1] / n
-    total_mc = (s[3] - s[2] * s[2] / n) / (n - 1)
-    total_pair = (s[5] - s[4] * s[4] / n) / (n - 1)
+    total_mc = _pooled_variance(stats[2], stats[3], k)
+    total_pair = _pooled_variance(stats[4], stats[5], k)
     boot_rng = streams.stream(spec.seed, streams.STUDY, a=0, b=1)
     draws = boot_rng.integers(0, n_batches, size=(2000, n_batches))
     boot = stats[:2, draws].sum(axis=-1)  # (2, 2000) resampled conditional sums
@@ -676,6 +678,20 @@ def variance_study(spec: RunSpec, n_batches: int) -> VarianceReport:
         theoretical_factor=variance_bound_factor(spec.m),
         total_ratio=float(total_ratio),
     )
+
+
+def _pooled_variance(means: np.ndarray, centred: np.ndarray, k: int) -> np.float64:
+    """Sample variance of groups of k values each, from every group's mean and
+    centred sum of squares, pooled in group order (Chan, Golub and LeVeque's
+    update). Unlike E[L^2] - E[L]^2, no term cancels when the values' spread
+    is tiny against their mean."""
+    mean, sq, n = means[0], centred[0], k
+    for group_mean, group_sq in zip(means[1:], centred[1:]):
+        delta = group_mean - mean
+        n += k
+        mean += delta * k / n
+        sq += group_sq + delta * delta * (n - k) * k / n
+    return sq / (n - 1)
 
 
 @dataclass(frozen=True)

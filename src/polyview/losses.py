@@ -48,11 +48,27 @@ run in order on the calling thread; so do single-item maps.
 Two rules hold for the tasks. Nested calls run serially: a kernel call
 inside a task runs its tiles one after another on the task's thread, since
 a task that waited on its own pool would deadlock once every pool thread
-did the same. Buffers come from the calling thread: it allocates one per
-pool thread, sized for the largest tile that `_plan` gives at the batch's
-(K, M), and a task's kernel calls use its slot. Buffers that threads
-allocated themselves would grow one malloc arena per thread and raise the
-peak memory.
+did the same. Memory comes from the calling thread: it allocates one
+buffer (a slot) per pool thread, sized for the largest tile of the map, and
+a task's kernel calls use its slot (a batch task's slot fits loss-only
+calls at the batch's (K, M)); it also allocates each pass-2 tile's
+increments as it submits the tile. Memory that threads allocated
+themselves would grow one malloc arena per thread and raise the peak
+memory: at K = 1024 and M = 10, pass-2 operands and increments made on two
+pool threads cost about 10 MiB of peak RSS.
+
+Memory: a kernel call keeps one copy of each array that a pass reads.
+Through pass 1 it holds, besides its inputs and slots, the folded rows of
+every anchor [z/tau, -1/tau] and candidate [z, 1] (which the tiles and the
+positives' GEMMs read), the negative sums, and the row shifts below the
+shift limit, which pass 2 reads too. The folded rows die with pass 1, so
+the per-target arrays made from its sums reuse their memory, and those die
+before pass 2, which holds the negative-score coefficients (Ma, K, Mc),
+the gradients and the
+increments of at most twice the pool's width of tiles; a pass-2 tile
+folds its own rows into its slot, behind its scores, and then puts its two
+GEMM operands there. At K = 1024, M = 10 each copy of the embeddings is
+2.5 MiB, and a slot 8 MiB in pass 1 and 9 MiB in pass 2.
 """
 
 from __future__ import annotations
@@ -254,22 +270,25 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_renew_pool_in_child)
 
 
-def _ordered_map(fn, items, size):
-    """Yield fn(item, buffer) for each item, in item order. Several items run
-    on the tile pool, each in a copy of the caller's context (numpy's error
-    state is in it), with up to twice its width submitted, so that a thread
-    the host delays holds up the others less. The calling thread allocates
-    one buffer of size floats per pool thread, and a running item takes a
-    free one. An item on the pool is a task: a map inside it runs serially
-    on the task's thread, with the task's buffer. If items raise, the first
-    one's error in item order is raised and the items not yet started are
-    cancelled."""
+def _ordered_map(fn, items, size, prepare=None):
+    """Yield fn(prepare(item), buffer) for each item, in item order (prepare
+    defaults to the identity). Several items run on the tile pool, each in a
+    copy of the caller's context (numpy's error state is in it), with up to
+    twice its width submitted, so that a thread the host delays holds up the
+    others less. The calling thread allocates one buffer of size floats per
+    pool thread, and a running item takes a free one; it also runs prepare,
+    as each item is submitted, so memory that prepare allocates for an
+    item's results comes from the calling thread too. An item on the pool is
+    a task: a map inside it runs serially on the task's thread, with the
+    task's buffer. If items raise, the first one's error in item order is
+    raised and the items not yet started are cancelled."""
+    prepare = prepare or (lambda item: item)
     inside = _task_buffer.get()
     width, pool = _tile_pool() if len(items) > 1 and inside is None else (1, None)
     if pool is None:
         buffer = np.empty(size) if inside is None else inside
         for item in items:
-            yield fn(item, buffer)
+            yield fn(prepare(item), buffer)
         return
     free = queue.SimpleQueue()
     for _ in range(width):
@@ -288,7 +307,7 @@ def _ordered_map(fn, items, size):
         for item in items:
             if len(pending) == 2 * width:
                 yield pending.popleft().result()
-            pending.append(pool.submit(contextvars.copy_context().run, run, item))
+            pending.append(pool.submit(contextvars.copy_context().run, run, prepare(item)))
         while pending:
             yield pending.popleft().result()
     finally:
@@ -304,26 +323,52 @@ def _largest_tile(k, m):
 
 def _map_batches(fn, n, k, m):
     """[fn(i) for i in range(n)]. With several batches and a pool, batch i is
-    a task of the ordered map, and its kernel calls, on K samples of at most
-    M views, fit in the task's buffer. Else the batches run in order on the
-    calling thread, with no buffer of the map's: one held unused through the
-    kernel calls would make each call fault its own tiles' pages in anew."""
+    a task of the ordered map, and its loss-only kernel calls, on K samples
+    of at most M views, fit in the task's buffer. Else the batches run in
+    order on the calling thread, with no buffer of the map's: one held unused
+    through the kernel calls would make each call fault its own tiles' pages
+    in anew."""
     if n > 1 and _tile_pool()[1] is not None:
         return list(_ordered_map(lambda i, _: fn(i), range(n), _largest_tile(k, m)))
     return [fn(i) for i in range(n)]
 
 
+def _carve(flat, *shapes):
+    """Consecutive arrays of the given shapes from the front of flat."""
+    arrays, start = [], 0
+    for shape in shapes:
+        arrays.append(flat[start:start + math.prod(shape)].reshape(shape))
+        start += arrays[-1].size
+    return arrays
+
+
+def _hat(views, inv_tau, out):
+    """The rows of views (..., v, K, d) with one column appended, written into
+    out (..., v * K, d + 1): [z | 1] for candidates (inv_tau None), or
+    [z / tau | -1 / tau] for anchors, whose product with a candidate row is
+    its score minus the shift 1 / tau."""
+    d = views.shape[-1]
+    rows = views.reshape(out.shape[:-1] + (d,))
+    if inv_tau is None:
+        out[..., :d] = rows
+        out[..., d] = 1.0
+    else:
+        np.multiply(rows, inv_tau, out=out[..., :d])
+        out[..., d] = -inv_tau
+    return out
+
+
 def _exp_tile(a_hat, c_hat, k, tile, shift, fill, buffer):
     """exp of one tile of shifted scores as (va, K, vb, K), every
-    same-sample entry zero, written into the front of buffer. shift is None
+    same-sample entry zero, written into the front of buffer. a_hat and
+    c_hat are the tile's folded anchor and candidate rows. shift is None
     under the constant shift; else the per-row, per-view shifts, which fill
     takes from this tile's maxima."""
     a0, a1, b0, b1, _, same = tile
     lead = a_hat.shape[:-2]
     s = buffer[:math.prod(lead) * (a1 - a0) * (b1 - b0) * k * k]
     s = s.reshape(*lead, (a1 - a0) * k, (b1 - b0) * k)
-    np.matmul(a_hat[..., a0 * k:a1 * k, :], np.swapaxes(c_hat[..., b0 * k:b1 * k, :], -1, -2),
-              out=s)
+    np.matmul(a_hat, np.swapaxes(c_hat, -1, -2), out=s)
     e = s.reshape(*lead, a1 - a0, k, b1 - b0, k)
     if shift is None:
         np.exp(s, out=s)
@@ -347,39 +392,85 @@ def _candidate_set_loss(anchors, cands, tau, others, log_mean_exp, per_view, wan
     other view (others) or in view alpha. Its negatives are the candidates
     of every other sample: in the positive's view only (per_view), or in
     every view. Returns (per_sample, grad_anchors, grad_cands); the two
-    gradients are one array when anchors is cands.
+    gradients are one array when anchors is cands. What a call holds through
+    each pass is set out in the module docstring.
     """
     *lead, ma, k, d = anchors.shape
-    mc = cands.shape[-3]
     rowmax = 2.0 / tau > _SHIFT_LIMIT
     symmetric = cands is anchors and not rowmax
-    targets, tiles, gather = _plan(others, per_view, ma, mc, k, symmetric, _TILE_ROWS)
-    n_t = targets.shape[1]
-    tile_size = math.prod(lead) * k * k * max((t[1] - t[0]) * (t[3] - t[2]) for t in tiles)
-    fold = np.append(np.full(d, 1.0 / tau), -1.0 / tau)
-    c_hat = np.concatenate((cands.reshape(*lead, -1, d), np.ones((*lead, mc * k, 1))), axis=-1)
-    a_hat = c_hat if cands is anchors else np.concatenate(
-        (anchors.reshape(*lead, -1, d), np.ones((*lead, ma * k, 1))), axis=-1)
-    a_hat = a_hat * fold
-    shift = np.zeros((*lead, ma, k, mc)) if rowmax else None
+    targets, tiles, gather = _plan(others, per_view, ma, cands.shape[-3], k, symmetric,
+                                   _TILE_ROWS)
+    shift = np.zeros((*lead, ma, k, cands.shape[-3])) if rowmax else None
+    per_sample, coeff, grad_a, grad_c = _loss_terms(
+        anchors, cands, tau, targets.shape[1], tiles, gather, shift, log_mean_exp, per_view,
+        want_grad)
+    if not want_grad:
+        return per_sample, None, None
 
-    # Pass 1: the negative sums of each anchor row in each candidate view,
-    # under that row's shift for the view. A tile fills its own shifts, a
-    # slice of shift that no other tile writes.
-    def tile_sums(tile, buffer):
-        e = _exp_tile(a_hat, c_hat, k, tile, shift, True, buffer)
-        return e.sum(axis=-1), (np.moveaxis(e.sum(axis=-3), -3, -1) if tile[4] else None)
+    # Pass 2: recompute each tile. Rows take their anchor role, and in a
+    # symmetric tile their candidate role too, from E_ab @ [C_b | g * C_b].
+    # A tile folds its own rows into its slot behind its scores, and then
+    # puts its two GEMM operands there. It writes its increments (gradient,
+    # first view, last view + 1, value) into memory that the calling thread
+    # takes as it submits the tile, and they are added in tile order.
+    def increment_memory(tile):
+        va, vb = tile[1] - tile[0], tile[3] - tile[2]
+        n_a, n_b = (2, 2 if tile[4] else 0) if symmetric else (1, 1)
+        return tile, np.empty((n_a * va + n_b * vb) * k * d)
 
-    neg = np.empty((*lead, ma, k, mc))
-    for (a0, a1, b0, b1, mirrored, _), (row_sums, col_sums) in zip(
-            tiles, _ordered_map(tile_sums, tiles, tile_size)):
-        neg[..., a0:a1, :, b0:b1] = row_sums
+    def tile_increments(item, buffer):
+        tile, memory = item
+        a0, a1, b0, b1, mirrored, _ = tile
+        va, vb = a1 - a0, b1 - b0
+        a_hat, c_hat = _carve(buffer[va * vb * k * k:], (va * k, d + 1), (vb * k, d + 1))
+        e = _exp_tile(_hat(anchors[a0:a1], 1.0 / tau, a_hat), _hat(cands[b0:b1], None, c_hat),
+                      k, tile, shift, False, buffer)
+        w = 2 * d if symmetric else d
+        rhs, out = _carve(buffer[e.size:], (va, vb, k, w), (va, vb, k, w))
+        c_rows, c_cols = coeff[a0:a1, :, b0:b1], coeff[b0:b1, :, a0:a1]
+        za, zb = anchors[a0:a1], cands[b0:b1]
+        if not symmetric:
+            inc_a, inc_c = _carve(memory, (va, k, d), (vb, k, d))
+            np.matmul(e.transpose(0, 2, 1, 3), zb, out=out)
+            np.einsum("aib,abid->aid", c_rows, out, out=inc_a)
+            weighted = rhs.reshape(vb, va, k, d)
+            np.multiply(c_rows.transpose(2, 0, 1)[..., None], za, out=weighted)
+            product = out.reshape(vb, va, k, d)
+            np.matmul(e.transpose(2, 0, 3, 1), weighted, out=product)
+            return [(grad_a, a0, a1, inc_a), (grad_c, b0, b1, product.sum(axis=1, out=inc_c))]
+        inc_a, inc_b = _carve(memory, (2, va, k, d), (2 * mirrored, vb, k, d))
+        np.matmul(e.transpose(0, 2, 1, 3), _stack_rhs(zb, c_cols, rhs), out=out)
+        steps = [(grad_a, a0, a1, np.einsum("aib,abid->aid", c_rows, out[..., :d], out=inc_a[0])),
+                 (grad_a, a0, a1, out[..., d:].sum(axis=1, out=inc_a[1]))]
         if mirrored:
-            neg[..., b0:b1, :, a0:a1] = col_sums
-    # Positives straight from the shifted scores: (K, Ma, Mc) per-sample GEMMs.
-    same = (a_hat.reshape(*lead, ma, k, -1).swapaxes(-3, -2)
-            @ np.moveaxis(c_hat.reshape(*lead, mc, k, -1), -3, -1))
-    pos = np.take(same.swapaxes(-3, -2).reshape(*lead, -1), gather, -1)
+            rhs, out = rhs.reshape(vb, va, k, w), out.reshape(vb, va, k, w)
+            np.matmul(e.transpose(2, 0, 3, 1), _stack_rhs(za, c_rows, rhs), out=out)
+            steps.append((grad_a, b0, b1,
+                          np.einsum("bja,bajd->bjd", c_cols, out[..., :d], out=inc_b[0])))
+            steps.append((grad_a, b0, b1, out[..., d:].sum(axis=1, out=inc_b[1])))
+        return steps
+
+    # A slot holds a tile's scores, then its folded rows or, once the scores
+    # are made, its two GEMM operands of at most (va, vb, K, 2d) each.
+    slot = max((a1 - a0) * (b1 - b0) * k * k
+               + max((a1 - a0 + b1 - b0) * k * (d + 1), 4 * (a1 - a0) * (b1 - b0) * k * d)
+               for a0, a1, b0, b1, _, _ in tiles)
+    for steps in _ordered_map(tile_increments, tiles, slot, increment_memory):
+        for grad, v0, v1, increment in steps:
+            grad[v0:v1] += increment
+    return per_sample, grad_a, grad_c
+
+
+def _loss_terms(anchors, cands, tau, n_t, tiles, gather, shift, log_mean_exp, per_view,
+                want_grad):
+    """Everything made from pass 1's sums: the per-sample loss and, if
+    want_grad, the negative-score coefficients (Ma, K, Mc) that pass 2 reads
+    and the gradients holding the positives' terms. Every per-target array
+    dies here, before pass 2."""
+    *lead, ma, k, _ = anchors.shape
+    mc = cands.shape[-3]
+    rowmax = shift is not None
+    pos, neg = _pass_one(anchors, cands, tau, tiles, gather, shift)
     if per_view:
         neg_t = np.take(neg.reshape(*lead, -1), gather, -1)
         log_neg_t = np.log(neg_t) + (np.take(shift.reshape(*lead, -1), gather, -1) if rowmax else 0.0)
@@ -398,7 +489,7 @@ def _candidate_set_loss(anchors, cands, tau, others, log_mean_exp, per_view, wan
     else:
         per_sample = log_l.sum(axis=(-3, -1)) / (-ma * n_t)
     if not want_grad:
-        return per_sample, None, None
+        return per_sample, None, None, None
 
     # d(total)/d(score) is -w (1 - l) at each positive; at a negative of
     # anchor row r in candidate view b it is coeff[r, b] times the tile entry.
@@ -414,40 +505,45 @@ def _candidate_set_loss(anchors, cands, tau, others, log_mean_exp, per_view, wan
     grad_a = np.einsum("aib,bid->aid", pos_coeff, cands)
     grad_c = grad_a if cands is anchors else np.zeros_like(cands)
     grad_c += np.einsum("aib,aid->bid", pos_coeff, anchors)
+    return per_sample, coeff, grad_a, grad_c
 
-    # Pass 2: recompute each tile. Rows take their anchor role, and in a
-    # symmetric tile their candidate role too, from E_ab @ [C_b | g * C_b].
-    # A tile returns its increments (gradient, first view, last view + 1,
-    # value), which are added in order.
-    def tile_increments(tile, buffer):
+
+def _pass_one(anchors, cands, tau, tiles, gather, shift):
+    """Pass 1: the positives' shifted scores (..., Ma, K, T) and the negative
+    sums (..., Ma, K, Mc) of every anchor row. The folded copies of all rows
+    live only here, so that the arrays made from these sums reuse their
+    memory."""
+    *lead, ma, k, d = anchors.shape
+    mc = cands.shape[-3]
+    c_hat = _hat(cands, None, np.empty((*lead, mc * k, d + 1)))
+    a_hat = _hat(anchors, 1.0 / tau, np.empty((*lead, ma * k, d + 1)))
+
+    # The negative sums of each anchor row in each candidate view, under
+    # that row's shift for the view. A tile fills its own shifts, a slice of
+    # shift that no other tile writes.
+    def tile_sums(tile, buffer):
         a0, a1, b0, b1, mirrored, _ = tile
-        e = _exp_tile(a_hat, c_hat, k, tile, shift, False, buffer)
-        c_rows, c_cols = coeff[a0:a1, :, b0:b1], coeff[b0:b1, :, a0:a1]
-        za, zb = anchors[a0:a1], cands[b0:b1]
-        out = e.transpose(0, 2, 1, 3) @ (_stack_rhs(zb, c_cols) if symmetric else zb)
-        steps = [(grad_a, a0, a1, np.einsum("aib,abid->aid", c_rows, out[..., :d]))]
-        if symmetric:
-            steps.append((grad_a, a0, a1, out[..., d:].sum(axis=1)))
+        e = _exp_tile(a_hat[..., a0 * k:a1 * k, :], c_hat[..., b0 * k:b1 * k, :], k, tile,
+                      shift, True, buffer)
+        return e.sum(axis=-1), (np.moveaxis(e.sum(axis=-3), -3, -1) if mirrored else None)
+
+    neg = np.empty((*lead, ma, k, mc))
+    tile_size = math.prod(lead) * k * k * max((t[1] - t[0]) * (t[3] - t[2]) for t in tiles)
+    for (a0, a1, b0, b1, mirrored, _), (row_sums, col_sums) in zip(
+            tiles, _ordered_map(tile_sums, tiles, tile_size)):
+        neg[..., a0:a1, :, b0:b1] = row_sums
         if mirrored:
-            out = e.transpose(2, 0, 3, 1) @ _stack_rhs(za, c_rows)
-            steps.append((grad_a, b0, b1, np.einsum("bja,bajd->bjd", c_cols, out[..., :d])))
-            steps.append((grad_a, b0, b1, out[..., d:].sum(axis=1)))
-        elif not symmetric:
-            weighted = c_rows.transpose(2, 0, 1)[..., None] * za
-            steps.append((grad_c, b0, b1, (e.transpose(2, 0, 3, 1) @ weighted).sum(axis=1)))
-        return steps
-
-    for steps in _ordered_map(tile_increments, tiles, tile_size):
-        for grad, v0, v1, increment in steps:
-            grad[v0:v1] += increment
-    return per_sample, grad_a, grad_c
+            neg[..., b0:b1, :, a0:a1] = col_sums
+    # Positives straight from the shifted scores: (K, Ma, Mc) per-sample GEMMs.
+    same = (a_hat.reshape(*lead, ma, k, -1).swapaxes(-3, -2)
+            @ np.moveaxis(c_hat.reshape(*lead, mc, k, -1), -3, -1))
+    return np.take(same.swapaxes(-3, -2).reshape(*lead, -1), gather, -1), neg
 
 
-def _stack_rhs(rows, coeff):
-    """[rows | coeff * rows] per sub-block: rows (v, K, d), coeff (v, K, u)
-    -> (u, v, K, 2d)."""
-    v, k, d = rows.shape
-    out = np.empty((coeff.shape[2], v, k, 2 * d))
+def _stack_rhs(rows, coeff, out):
+    """[rows | coeff * rows] per sub-block, written into out: rows (v, K, d),
+    coeff (v, K, u), out (u, v, K, 2d)."""
+    d = rows.shape[-1]
     out[..., :d] = rows
     np.multiply(coeff.transpose(2, 0, 1)[..., None], rows, out=out[..., d:])
     return out
@@ -485,14 +581,20 @@ def compute_loss(method: Method, z: EmbeddingBatch, tau: float) -> LossResult:
 
 def _loss_and_zgrad(method: Method, z: EmbeddingBatch, tau: float, want_grad: bool = True):
     """Loss plus (optionally) its exact gradient with respect to z."""
+    per_sample, grad = _per_sample_loss(method, _view_major(method, z, tau), tau, want_grad)
+    result = LossResult.from_per_sample(per_sample)
+    return result, (grad.transpose(1, 0, 2).copy() if want_grad else None)
+
+
+def _view_major(method: Method, z: EmbeddingBatch, tau: float) -> np.ndarray:
+    """The view-major copy (M, K, d) of z's rows that the kernel scores, once
+    method and tau are checked against z."""
     _check_tau(tau)
     if method is Method.INFONCE and z.m != 2:
         raise ValueError(f"infonce requires exactly M = 2 views, got M = {z.m}")
     if not isinstance(method, Method):
         raise ValueError(f"unknown method: {method!r}")
-    per_sample, grad = _per_sample_loss(method, z.z.transpose(1, 0, 2).copy(), tau, want_grad)
-    result = LossResult.from_per_sample(per_sample)
-    return result, (grad.transpose(1, 0, 2).copy() if want_grad else None)
+    return z.z.transpose(1, 0, 2).copy()
 
 
 def _per_sample_loss(method: Method, zt: np.ndarray, tau: float, want_grad: bool):

@@ -10,6 +10,14 @@ on a leading set axis, serially in the calling thread. A pass frees its
 weight stacks and embeddings before its kernel pass, and the forward pass
 works in place where the bits cannot change, so the wide passes stay small.
 
+A training step (loss_and_grads) holds, through both kernel passes, the
+first layer's inputs x and activations a1, the norms of h2, and one copy of
+the embeddings: the view-major one that the kernel scores. The
+sample-major z dies once copied, and h1 is recomputed for the GeLU
+derivative rather than held. The embedding gradient becomes dh2 in its own
+memory, row by row and still view-major, and is transposed to sample-major
+once, for the sums over rows, whose order fixes their bits.
+
 Everything is float64 and functional: forward, loss_and_grads and adamw_step
 take and return immutable dataclasses, so equal inputs give bit-equal outputs.
 """
@@ -26,9 +34,9 @@ from .losses import (
     EmbeddingBatch,
     LossResult,
     Method,
-    _loss_and_zgrad,
     _NumericalError,
     _per_sample_loss,
+    _view_major,
     compute_loss,
 )
 
@@ -167,7 +175,7 @@ def gelu_grad(x: np.ndarray) -> np.ndarray:
 
 def _forward_trace(views: np.ndarray, w1, b1, w2, b2):
     """Forward pass keeping the intermediates the backward pass needs:
-    x, h1, a1, the norms of h2 and z = h2 / norms, which takes h2's memory.
+    x, a1, the norms of h2 and z = h2 / norms, which takes h2's memory.
 
     The weights may carry a leading parameter-set axis (a bias then has
     shape (S, 1, n)); the outputs broadcast over it, so a first layer whose
@@ -180,14 +188,19 @@ def _forward_trace(views: np.ndarray, w1, b1, w2, b2):
         raise _NumericalError("views contain non-finite values")
     k, m = views.shape
     x = views.reshape(k * m, D_IN)
-    h1 = _add_bias(x @ np.swapaxes(w1, -1, -2), b1)
-    a1 = gelu(h1)
+    a1 = gelu(_hidden(x, w1, b1))
     h2 = _add_bias(a1 @ np.swapaxes(w2, -1, -2), b2)
     norms = np.linalg.norm(h2, axis=-1, keepdims=True)
     if np.any(norms <= 1e-30):
         raise _NumericalError("encoder produced a zero pre-normalization vector")
     h2 /= norms
-    return x, h1, a1, norms, h2.reshape(*h2.shape[:-2], k, m, D_OUT)
+    return x, a1, norms, h2.reshape(*h2.shape[:-2], k, m, D_OUT)
+
+
+def _hidden(x: np.ndarray, w1, b1) -> np.ndarray:
+    """The first layer's pre-activation h1 = x w1^T + b1: one product per
+    entry, so the backward pass recomputes it rather than hold it."""
+    return _add_bias(x @ np.swapaxes(w1, -1, -2), b1)
 
 
 def _add_bias(product: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -209,22 +222,28 @@ def loss_and_grads(
 ) -> tuple[LossResult, MlpParams]:
     """One fused pass: compute_loss(method, forward(params, views), tau) plus
     its exact gradient with respect to every parameter, in MlpParams shape."""
-    x, h1, a1, norms, z = _forward_trace(views, **params.as_dict())
-    result, dz = _loss_and_zgrad(method, EmbeddingBatch(z=z), tau, want_grad=True)
-    dz_flat = dz.reshape(-1, D_OUT)
+    x, a1, norms, z = _forward_trace(views, **params.as_dict())
+    # The kernel scores the view-major copy; z dies before it runs.
+    zt = _view_major(method, EmbeddingBatch(z=z), tau)
+    del z
+    per_sample, dz = _per_sample_loss(method, zt, tau, True)
 
-    # Through z = h2 / |h2|: dh2 = (dz - (dz . z) z) / |h2|.
-    z_flat = z.reshape(-1, D_OUT)
-    inner = np.sum(dz_flat * z_flat, axis=1, keepdims=True)
-    dh2 = (dz_flat - inner * z_flat) / norms
+    # Through z = h2 / |h2|, row by row in dz's memory, still view-major:
+    # dh2 = (dz - (dz . z) z) / |h2|.
+    dz -= np.sum(dz * zt, axis=-1, keepdims=True) * zt
+    dz /= norms.reshape(views.shape).T[..., None]
+    # The sums over rows below run in sample-major order. zt and dz die
+    # before the first layer's backward pass allocates arrays of their size.
+    dh2 = dz.transpose(1, 0, 2).reshape(-1, D_OUT)
+    del zt, dz
 
     dw2 = dh2.T @ a1
     db2 = dh2.sum(axis=0)
     da1 = dh2 @ params.w2
-    dh1 = da1 * gelu_grad(h1)
+    dh1 = da1 * gelu_grad(_hidden(x, params.w1, params.b1))
     dw1 = dh1.T @ x
     db1 = dh1.sum(axis=0)
-    return result, MlpParams(w1=dw1, b1=db1, w2=dw2, b2=db2)
+    return LossResult.from_per_sample(per_sample), MlpParams(w1=dw1, b1=db1, w2=dw2, b2=db2)
 
 
 def finite_difference_grads(

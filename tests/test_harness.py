@@ -38,7 +38,7 @@ from polyview.harness import (
     variance_study,
 )
 from polyview.gaussian_world import sample_batch
-from polyview.losses import LossResult, Method, _NumericalError, compute_loss
+from polyview.losses import LossResult, Method, _NumericalError, compute_loss, loss_pair_infonce
 from polyview.tinynn import TrainConfig, forward, init_params
 
 REPO = Path(__file__).resolve().parent.parent
@@ -601,6 +601,25 @@ class TestVarianceStudy:
         assert "M=3" in lines[0] and "ratio" in lines[3]
         assert variance_study(spec, n_batches=32) == report  # deterministic
 
+    @pytest.mark.parametrize("tau,seed,rel", [
+        (0.5, 0, 1e-12), (1e8, 0, 1e-3), (1e8, 2, 1e-3), (1e10, 3, 1e-3), (1e12, 3, 1e-3)])
+    def test_total_ratio_matches_two_pass_reference(self, tau, seed, rel):
+        # At a large tau the losses spread by about 1/tau around ln(B - M + 1):
+        # E[L^2] - E[L]^2 gave total ratios of -2, -1 and -0.5 at these
+        # (tau, seed), and refused tau = 1e8 at seed 2.
+        spec = RunSpec(method=Method.MULTICROP, m=3, k=16, tau=tau, seed=seed)
+        params = init_params(streams.stream(seed, streams.INIT))
+        mc, pair = [], []
+        for i in range(32):
+            batch = sample_batch(spec.gaussian(), streams.stream(seed, streams.STUDY, a=i + 1))
+            z = forward(params, batch.views)
+            mc.append(compute_loss(Method.MULTICROP, z, tau).per_sample)
+            pair.append(loss_pair_infonce(z, 0, 1, tau).per_sample)
+        want = np.var(np.concatenate(mc), ddof=1) / np.var(np.concatenate(pair), ddof=1)
+        report = variance_study(spec, n_batches=32)
+        assert report.total_ratio > 0
+        assert report.total_ratio == pytest.approx(want, rel=rel)
+
 
 class TestValidityStudy:
     def test_rejects_too_few_batches(self):
@@ -634,7 +653,8 @@ class TestValidityStudy:
 
 class TestStudiesOverTheTauDomain:
     """Every accepted tau, its log drawn from [ln MIN_TAU, ln of the largest
-    double], gives finite study figures or a ValueError."""
+    double], gives finite study figures or a ValueError, and finite training
+    rows or a NumericalFailure."""
 
     @settings(max_examples=30, deadline=None)
     @given(log_tau=st.floats(math.log(losses.MIN_TAU), math.log(sys.float_info.max)),
@@ -650,6 +670,22 @@ class TestStudiesOverTheTauDomain:
                 continue
             figures = [v for v in vars(report).values() if isinstance(v, float)]
             assert np.isfinite(figures).all(), report
+
+    @settings(max_examples=30, deadline=None)
+    @given(log_tau=st.floats(math.log(losses.MIN_TAU), math.log(sys.float_info.max)),
+           k=st.integers(2, 4), m=st.integers(2, 3), seed=st.integers(0, 99),
+           method=st.sampled_from(list(Method)))
+    def test_training_rows_finite_or_numerical_failure(self, log_tau, k, m, seed, method):
+        spec = tiny_spec(method=method, m=2 if method is Method.INFONCE else m, k=k, seed=seed,
+                         tau=max(losses.MIN_TAU, math.exp(log_tau)),
+                         train=TrainConfig(epochs=2), eval_batches=2)
+        try:
+            record = run_training(spec)
+        except NumericalFailure:
+            return
+        assert [row.epoch for row in record.rows] == [0, 1, 2]
+        figures = [v for row in record.rows for v in vars(row).values() if isinstance(v, float)]
+        assert np.isfinite(figures).all(), record.rows
 
 
 # A kernel call inside a batch task with more than one view tile: at K = 16,
@@ -705,7 +741,7 @@ class TestBatchTasks:
             m=3, k=16, n_batches=32, var_multicrop=0.035662912458595444,
             var_pair=0.0700387323191826, ratio=0.5091884344232753,
             ci_low=0.41366748993972546, ci_high=0.6327312160796791,
-            theoretical_factor=0.5555555555555556, total_ratio=0.6291077793977836)
+            theoretical_factor=0.5555555555555556, total_ratio=0.6291077793977875)
         spec = RunSpec(method=Method.MULTICROP, m=3, k=16)
         for report, _ in at_widths(monkeypatch, lambda: variance_study(spec, 32)):
             assert report == want

@@ -1,7 +1,11 @@
-"""The package's public surface is exactly what the README and demos import."""
+"""The package's public surface is exactly what the README and demos
+import, and importing it loads no module that only an oracle needs."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -42,3 +46,15 @@ def test_all_is_exactly_the_imported_names():
     }
     assert len(polyview.__all__) == len(set(polyview.__all__))
     assert set(polyview.__all__) == names
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    # Only the matrix MI oracle uses scipy.linalg, and it imports it itself.
+    src = str(Path(polyview.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = ("import sys, polyview, polyview.cli; print('scipy.linalg' in sys.modules); "
+            "polyview.mi_via_gaussian_kl(1.0, 1.0, 3); print('scipy.linalg' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]

@@ -276,6 +276,27 @@ class TestGradients:
         assert result.total == compute_loss(method, forward(params, views), tau).total
 
 
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    def test_peak_memory_of_one_step(self, monkeypatch, method):
+        # tracemalloc sees numpy's buffers. At K = 1024 and pool width 1 one
+        # step peaked at 14.2-15.2 MiB at M = 4, and at 11.7 MiB for infonce
+        # at M = 2. It peaked at 19.0-19.5 (13.8) MiB while the kernel held
+        # the folded rows and the per-target arrays through pass 2, and the
+        # step held h1 and both orientations of z through the kernel.
+        m, limit = (2, 12.5) if method is Method.INFONCE else (4, 16.0)
+        params = init_params(rng_for(25))
+        views = random_views(1024, m, case=15)
+        monkeypatch.setattr(losses, "_pool", (1, None))
+        loss_and_grads(params, views, method, 0.5)  # fills the plan cache
+        tracemalloc.start()
+        try:
+            loss_and_grads(params, views, method, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit * 2**20, f"{peak / 2**20:.2f} MiB"
+
+
 class TestBatchedOracle:
     """finite_difference_grads scores its perturbed parameter sets in chunks
     on a leading set axis; the per-entry loop above is its reference."""
