@@ -49,10 +49,12 @@ def test_all_is_exactly_the_imported_names():
 
 
 def test_import_leaves_scipy_linalg_unloaded():
+    # No scipy module loads with the package: the encoder's erf is numpy's.
     # Only the matrix MI oracle uses scipy.linalg, and it imports it itself.
     src = str(Path(polyview.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    code = ("import sys, polyview, polyview.cli; print('scipy.linalg' in sys.modules); "
+    code = ("import sys, polyview, polyview.cli; "
+            "print(any(n.split('.')[0] == 'scipy' for n in sys.modules)); "
             "polyview.mi_via_gaussian_kl(1.0, 1.0, 3); print('scipy.linalg' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path}, timeout=120)

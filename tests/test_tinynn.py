@@ -13,6 +13,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from conftest import at_width, unit_rows
 from polyview import losses, streams, tinynn
@@ -111,6 +112,55 @@ class TestGelu:
         analytic = gelu_grad(xs)
         rel = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(analytic))
         assert float(rel.max()) < 1e-7
+
+
+def bits(x: np.ndarray) -> np.ndarray:
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+class TestErf:
+    """tinynn._erf runs cephes's algorithm, which scipy.special.erf runs;
+    only its exp, taken from numpy for |x| > 1, may round otherwise."""
+
+    def test_bit_equal_to_scipy_on_the_unit_interval(self):
+        edges = np.array([1.0, np.nextafter(1.0, 0.0), 5e-324, 1e-300, 1e-8, 0.5])
+        for x in (np.linspace(-1.0, 1.0, 200_001), rng_for(30).uniform(-1.0, 1.0, 100_000),
+                  np.concatenate([edges, -edges])):
+            assert np.array_equal(bits(tinynn._erf(x)), bits(erf(x)))
+
+    def test_within_one_ulp_up_to_six(self):
+        x = np.concatenate([np.linspace(np.nextafter(1.0, 2.0), 6.0, 100_001),
+                            rng_for(31).uniform(1.0, 6.0, 100_000)])
+        for signed in (x, -x):
+            got, want = tinynn._erf(signed), erf(signed)
+            assert np.all(np.sign(got) == np.sign(signed))
+            assert np.abs(bits(got) - bits(want)).max() <= 1
+
+    def test_one_beyond_six(self):
+        x = np.concatenate([np.nextafter(6.0, 7.0) + rng_for(32).exponential(10.0, 10_000),
+                            [8.0, 30.0, 1e300, np.finfo(float).max]])
+        for signed in (x, -x):
+            assert np.array_equal(tinynn._erf(signed), np.sign(signed))
+            assert np.array_equal(erf(signed), np.sign(signed))
+
+    def test_special_values(self):
+        got = tinynn._erf(np.array([0.0, -0.0, np.inf, -np.inf, np.nan]))
+        assert np.array_equal(bits(got[:4]), bits([0.0, -0.0, 1.0, -1.0]))
+        assert np.isnan(got[4])
+
+    def test_odd_bitwise(self):
+        x = np.concatenate([rng_for(33).normal(0.0, 3.0, 100_000), [1.0, 6.0, 7.0, np.inf]])
+        assert np.array_equal(bits(tinynn._erf(-x)), bits(-tinynn._erf(x)))
+
+    def test_any_shape_and_layout(self):
+        # Elementwise: a strided view, a 0-d array and a scalar give the
+        # bits of the same values in one contiguous row.
+        x = rng_for(34).normal(0.0, 2.0, (40, 30))
+        flat = tinynn._erf(x.reshape(-1)).reshape(x.shape)
+        assert np.array_equal(bits(tinynn._erf(x.T)), bits(flat.T))
+        assert np.array_equal(bits(tinynn._erf(x[::3, 1::2])), bits(flat[::3, 1::2]))
+        assert tinynn._erf(np.array(x[2, 3])).shape == ()
+        assert bits(tinynn._erf(float(x[2, 3]))) == bits(flat[2, 3])
 
 
 class TestInit:
@@ -337,6 +387,29 @@ class TestBatchedOracle:
                 params.as_dict(), views, method, tau, 1e-6))[0]
         for chunk, set_losses in got.items():
             assert np.array_equal(set_losses, got[1]), chunk
+
+    @pytest.mark.parametrize("h", [1e-6, 0.25])
+    def test_shared_first_layer_keeps_the_bits(self, h):
+        # A set that moves w1[j] or b1[j] recomputes only hidden unit j of
+        # the shared layer: the bits of the whole layer at its weights.
+        base = init_params(rng_for(25)).as_dict()
+        x = random_views(4, 3, case=15).reshape(-1, D_IN)
+        offsets = np.cumsum([0] + [base[name].size for name in PARAM_NAMES])
+        sets = np.arange(160)  # w1, b1, then the first w2 entries
+        entry, step = sets // 2, np.where(sets % 2 == 0, h, -h)
+        w1 = np.repeat(base["w1"][None], sets.size, axis=0)
+        b1 = np.repeat(base["b1"][None, None], sets.size, axis=0)
+        for s in range(128):
+            if entry[s] < 32:
+                w1[s, entry[s], 0] += step[s]
+            else:
+                b1[s, 0, entry[s] - 32] += step[s]
+        want = gelu(x @ np.swapaxes(w1, -1, -2) + b1)
+        a1 = gelu(tinynn._hidden(x, base["w1"], base["b1"]))
+        got = tinynn._perturbed_first_layer(a1, x, base, offsets, entry, step)
+        assert np.array_equal(bits(got), bits(want))
+        second = tinynn._perturbed_first_layer(a1, x, base, offsets, entry[128:], step[128:])
+        assert second is a1
 
     def test_peak_memory_of_one_call(self):
         # tracemalloc sees numpy's buffers. This call peaked at 2.18 MiB with
