@@ -406,7 +406,12 @@ def run_sweep(sweep: SweepSpec, out_dir: str) -> list[SweepResult]:
     (method, M, seed). Complete files from earlier invocations are trusted
     (runs are byte-deterministic) and skipped; failures are recorded and the
     sweep continues. A directory whose sweep.json records other shared run
-    settings is refused with ValueError before anything is written."""
+    settings is refused with ValueError before anything is written.
+
+    A failed run leaves its partial record in <run>.csv.partial, which goes
+    once the run completes. failures.json lists the directory's runs whose
+    last attempt failed and that have no CSV; other sweeps' entries are kept.
+    The file is absent when there are none."""
     os.makedirs(out_dir, exist_ok=True)
     config_path = os.path.join(out_dir, "sweep.json")
     meta = sweep.to_json_dict()
@@ -457,15 +462,33 @@ def run_sweep(sweep: SweepSpec, out_dir: str) -> list[SweepResult]:
     for (spec, path), (_, status, message) in zip(pending, outcomes):
         results.append(SweepResult(spec=spec, path=path, status=status, message=message))
 
-    failures = [r for r in results if r.status == "failed"]
-    if failures:
-        with open(os.path.join(out_dir, "failures.json"), "w") as fh:
-            json.dump(
-                [{"path": r.path, "message": r.message} for r in failures],
-                fh, indent=2, sort_keys=True,
-            )
-            fh.write("\n")
+    _record_failures(os.path.join(out_dir, "failures.json"), results)
     return results
+
+
+def _record_failures(failures_path: str, results: list[SweepResult]) -> None:
+    """Update failures.json with this sweep's outcomes, and remove the
+    partial record of every run that is now complete."""
+    failed = {}
+    if os.path.exists(failures_path):
+        with open(failures_path) as fh:
+            failed = {entry["path"]: entry["message"] for entry in json.load(fh)}
+    failed = {path: message for path, message in failed.items() if not os.path.exists(path)}
+    for r in results:
+        if r.status == "failed":
+            failed[r.path] = r.message
+        else:
+            failed.pop(r.path, None)
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(r.path + ".partial")
+    if not failed:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(failures_path)
+        return
+    with open(failures_path, "w") as fh:
+        json.dump([{"path": path, "message": failed[path]} for path in sorted(failed)],
+                  fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------

@@ -29,20 +29,35 @@ candidate view, and symmetry is not used. A loss-only call runs pass 1 (the
 negative sums); gradients add pass 2, which recomputes each tile. All
 reductions run in float64 in a fixed order: equal inputs give equal bits.
 
+Blocks: a tile runs in blocks of at most _ROW_BLOCK anchor rows, in row
+order (whole views while a view fits in a block, else runs of one view's
+rows), so no K x K tile is ever held whole. Row sums, row maxima and a
+row's anchor-role products are whole rows in any block. A mirrored tile's
+column sums in pass 1 are added down its rows one by one, as a whole-tile
+sum adds them: a view split over blocks carries its running sum in the row
+in front of each later block's scores, so pass 1 has the bits of whole
+tiles. Pass 2's candidate-role product E^T @ [z_a | g * z_a] has the
+block's rows as its inner dimension, so a split tile sums it over its
+blocks in block order, which rounds otherwise than one GEMM over all rows:
+its gradients move in the last bits (at K = 1024, by at most 2.5e-16 of
+the largest entry). A tile with no more rows than one block runs as one
+block, with the bits of the whole tile.
+
 Threads: one ordered map, `_ordered_map`, runs two kinds of work on one
-pool of threads: the view tiles of a kernel call (in pass 1 a tile's score
-GEMM, exp, mask and sums, in pass 2 its gradient products), and whole-batch
+pool of threads: the view tiles of a kernel call (in pass 1 a tile's
+blocks of score GEMM, exp, mask and sums, in pass 2 their gradient
+products), and whole-batch
 tasks, the independent held-out batches of an evaluation row or a study,
 each drawn, encoded and scored by one task. The pool is made at the first
 map with several items, as wide as OpenBLAS's thread count then; from then
 on OpenBLAS runs one thread, so the pool takes over its cores. The calling
 thread keeps the serial order: results come back in item order, so it
-writes each tile's sums into their own slices of the negative sums, adds
-each tile's gradient increments in tile order, and reduces the batches'
-values in batch order. Each item's arithmetic is the same whichever thread
-runs it, and OpenBLAS splits a GEMM between its threads by blocks of the
-output, never within a dot product, so every output bit is the same at any
-width. Without a handle on numpy's OpenBLAS the width is 1 and the items
+adds each tile's gradient increments in tile order and reduces the
+batches' values in batch order; a pass-1 tile writes its sums and shifts
+into slices of the call's arrays that no other tile writes. Each item's
+arithmetic is the same whichever thread runs it, and OpenBLAS splits a
+GEMM between its threads by blocks of the output, never within a dot
+product, so every output bit is the same at any width. Without a handle on numpy's OpenBLAS the width is 1 and the items
 run in order on the calling thread; so do single-item maps.
 
 Two rules hold for the tasks. Nested calls run serially: a kernel call
@@ -50,12 +65,12 @@ inside a task runs its tiles one after another on the task's thread, since
 a task that waited on its own pool would deadlock once every pool thread
 did the same. Memory comes from the calling thread: it allocates one
 buffer (a slot) per pool thread, sized for the largest tile of the map, and
-a task's kernel calls use its slot (a batch task's slot fits loss-only
-calls at the batch's (K, M)); it also allocates each pass-2 tile's
-increments as it submits the tile. Memory that threads allocated
-themselves would grow one malloc arena per thread and raise the peak
-memory: at K = 1024 and M = 10, pass-2 operands and increments made on two
-pool threads cost about 10 MiB of peak RSS.
+a task's kernel calls use its slot (a batch task's slot fits the pass-1
+blocks of loss-only calls at the batch's (K, M)); it also allocates each
+pass-2 tile's increments as it submits the tile. Memory that threads
+allocated themselves would grow one malloc arena per thread and raise the
+peak memory: at K = 1024 and M = 10, pass-2 operands and increments made
+on two pool threads cost about 10 MiB of peak RSS.
 
 Memory: a kernel call keeps one copy of each array that a pass reads.
 Through pass 1 it holds, besides its inputs and slots, the folded rows of
@@ -64,11 +79,12 @@ positives' GEMMs read), the negative sums, and the row shifts below the
 shift limit, which pass 2 reads too. The folded rows die with pass 1, so
 the per-target arrays made from its sums reuse their memory, and those die
 before pass 2, which holds the negative-score coefficients (Ma, K, Mc),
-the gradients and the
-increments of at most twice the pool's width of tiles; a pass-2 tile
-folds its own rows into its slot, behind its scores, and then puts its two
-GEMM operands there. At K = 1024, M = 10 each copy of the embeddings is
-2.5 MiB, and a slot 8 MiB in pass 1 and 9 MiB in pass 2.
+the gradients and the increments of at most twice the pool's width of
+tiles. A pass-1 slot holds one block's scores behind one carried row. A
+pass-2 slot holds the tile's folded rows and the anchor-role operand of
+the block's views, and then one block's scores, its other GEMM operand,
+its products, and a later block's candidate-role increments. At K = 1024, M = 10 and 128-row blocks each copy of the
+embeddings is 2.5 MiB, a slot 1.0 MiB in pass 1 and 3.1 MiB in pass 2.
 """
 
 from __future__ import annotations
@@ -98,6 +114,8 @@ MIN_TAU = 2.0**54 / (math.sqrt(sys.float_info.max) - 37 * 2.0**53)
 _SHIFT_LIMIT = 700.0
 # Views are grouped into tiles of at most this many rows (at least one view).
 _TILE_ROWS = 1024
+# A tile runs in blocks of at most this many anchor rows.
+_ROW_BLOCK = 128
 # The tile pool as (width, executor or None), made at the first map with several items.
 _pool = None
 _pool_lock = threading.Lock()
@@ -193,13 +211,16 @@ def _check_tau(tau: float) -> None:
 
 @functools.lru_cache(maxsize=64)
 def _plan(others: bool, per_view: bool, ma: int, mc: int, k: int, symmetric: bool,
-          tile_rows: int):
+          tile_rows: int, row_block: int):
     """Index work shared by every call of one shape: targets (Ma, T), the
     candidate views holding each anchor view's positives; the tiles
-    (a0, a1, b0, b1, mirrored, same), anchor views [a0, a1) against
-    candidate views [b0, b1) with the flat indices of their same-sample
-    entries, a mirrored tile also standing for its transpose; and the flat
-    indices of the targets in a (Ma, K, Mc) array."""
+    (a0, a1, b0, b1, mirrored, blocks), anchor views [a0, a1) against
+    candidate views [b0, b1), a mirrored tile also standing for its
+    transpose; and the flat indices of the targets in a (Ma, K, Mc) array.
+    A tile runs in blocks (v0, v1, i0, i1, same) of at most row_block anchor
+    rows, in row order: rows [i0, i1) of views [v0, v1), either whole views
+    or part of one view, with the flat indices of their same-sample entries
+    in the block's (v1 - v0, i1 - i0, b1 - b0, K) scores."""
     if others:
         targets = np.array([[b for b in range(mc) if b != a] for a in range(ma)])
     else:
@@ -213,11 +234,27 @@ def _plan(others: bool, per_view: bool, ma: int, mc: int, k: int, symmetric: boo
             b1 = min(b0 + step, mc)
             mirrored = symmetric and b0 != a0
             if needed[a0:a1, b0:b1].any() or (mirrored and needed[b0:b1, a0:a1].any()):
-                same = [(a * k + rows) * ((b1 - b0) * k) + b * k + rows
-                        for a in range(a1 - a0) for b in range(b1 - b0)]
-                tiles.append((a0, a1, b0, b1, mirrored, np.concatenate(same)))
+                tiles.append((a0, a1, b0, b1, mirrored, _blocks(a0, a1, b1 - b0, k, row_block)))
     gather = (np.arange(ma)[:, None, None] * k + rows[:, None]) * mc + targets[:, None, :]
     return targets, tuple(tiles), gather
+
+
+def _blocks(a0, a1, vb, k, row_block):
+    """The row blocks of anchor views [a0, a1) against vb candidate views:
+    groups of whole views while a view fits in a block, else runs of at
+    most row_block rows of one view."""
+    if k <= row_block:
+        group = row_block // k
+        spans = [(v0, min(v0 + group, a1), 0, k) for v0 in range(a0, a1, group)]
+    else:
+        spans = [(v, v + 1, i0, min(i0 + row_block, k))
+                 for v in range(a0, a1) for i0 in range(0, k, row_block)]
+    blocks = []
+    for v0, v1, i0, i1 in spans:
+        i = np.arange(i1 - i0)[:, None]
+        same = ((np.arange(v1 - v0)[:, None, None] * (i1 - i0) + i) * vb + np.arange(vb)) * k
+        blocks.append((v0, v1, i0, i1, (same + i0 + i).ravel()))
+    return tuple(blocks)
 
 
 def _openblas_thread_calls():
@@ -315,10 +352,17 @@ def _ordered_map(fn, items, size, prepare=None):
             future.cancel()
 
 
-def _largest_tile(k, m):
-    """Floats in the largest tile that _plan gives for K samples and at most
-    M views, without stacked batches."""
-    return (min(m, max(1, _TILE_ROWS // k)) * k) ** 2
+def _pass_one_slot(tiles, k):
+    """Floats of a pass-1 slot for one batch: the largest block's scores,
+    behind one row for a carried column sum."""
+    return max((1 + (v1 - v0) * (i1 - i0)) * (b1 - b0) * k
+               for _, _, b0, b1, _, blocks in tiles for v0, v1, i0, i1, _ in blocks)
+
+
+def _batch_slot(k, m):
+    """Floats of the pass-1 slot that a loss-only call on K samples of at
+    most M views needs, without stacked batches."""
+    return _pass_one_slot(_plan(True, False, m, m, k, False, _TILE_ROWS, _ROW_BLOCK)[1], k)
 
 
 def _map_batches(fn, n, k, m):
@@ -329,7 +373,7 @@ def _map_batches(fn, n, k, m):
     through the kernel calls would make each call fault its own tiles' pages
     in anew."""
     if n > 1 and _tile_pool()[1] is not None:
-        return list(_ordered_map(lambda i, _: fn(i), range(n), _largest_tile(k, m)))
+        return list(_ordered_map(lambda i, _: fn(i), range(n), _batch_slot(k, m)))
     return [fn(i) for i in range(n)]
 
 
@@ -358,27 +402,26 @@ def _hat(views, inv_tau, out):
     return out
 
 
-def _exp_tile(a_hat, c_hat, k, tile, shift, fill, buffer):
-    """exp of one tile of shifted scores as (va, K, vb, K), every
-    same-sample entry zero, written into the front of buffer. a_hat and
-    c_hat are the tile's folded anchor and candidate rows. shift is None
-    under the constant shift; else the per-row, per-view shifts, which fill
-    takes from this tile's maxima."""
-    a0, a1, b0, b1, _, same = tile
-    lead = a_hat.shape[:-2]
-    s = buffer[:math.prod(lead) * (a1 - a0) * (b1 - b0) * k * k]
-    s = s.reshape(*lead, (a1 - a0) * k, (b1 - b0) * k)
+def _exp_tile(a_hat, c_hat, k, b0, block, shift, fill, s):
+    """exp of one block of a tile's shifted scores as (va, n, vb, K), every
+    same-sample entry zero, written into s (va * n, vb * K). a_hat holds the
+    block's folded anchor rows and c_hat the tile's folded candidate rows,
+    from candidate view b0 on. shift is None under the constant shift; else
+    the per-row, per-view shifts, which fill takes from this block's
+    maxima."""
+    v0, v1, i0, i1, same = block
+    lead = s.shape[:-2]
     np.matmul(a_hat, np.swapaxes(c_hat, -1, -2), out=s)
-    e = s.reshape(*lead, a1 - a0, k, b1 - b0, k)
+    e = s.reshape(*lead, v1 - v0, i1 - i0, -1, k)
     if shift is None:
         np.exp(s, out=s)
         s.reshape(*lead, -1)[..., same] = 0.0
         return e
     s.reshape(*lead, -1)[..., same] = -np.inf
-    block = shift[..., a0:a1, :, b0:b1]
+    rows = shift[..., v0:v1, i0:i1, b0:b0 + e.shape[-2]]
     if fill:
-        block[...] = e.max(axis=-1)
-    e -= block[..., None]
+        rows[...] = e.max(axis=-1)
+    e -= rows[..., None]
     return np.exp(e, out=e)
 
 
@@ -399,7 +442,7 @@ def _candidate_set_loss(anchors, cands, tau, others, log_mean_exp, per_view, wan
     rowmax = 2.0 / tau > _SHIFT_LIMIT
     symmetric = cands is anchors and not rowmax
     targets, tiles, gather = _plan(others, per_view, ma, cands.shape[-3], k, symmetric,
-                                   _TILE_ROWS)
+                                   _TILE_ROWS, _ROW_BLOCK)
     shift = np.zeros((*lead, ma, k, cands.shape[-3])) if rowmax else None
     per_sample, coeff, grad_a, grad_c = _loss_terms(
         anchors, cands, tau, targets.shape[1], tiles, gather, shift, log_mean_exp, per_view,
@@ -407,54 +450,80 @@ def _candidate_set_loss(anchors, cands, tau, others, log_mean_exp, per_view, wan
     if not want_grad:
         return per_sample, None, None
 
-    # Pass 2: recompute each tile. Rows take their anchor role, and in a
-    # symmetric tile their candidate role too, from E_ab @ [C_b | g * C_b].
-    # A tile folds its own rows into its slot behind its scores, and then
-    # puts its two GEMM operands there. It writes its increments (gradient,
+    # Pass 2: recompute each tile, block by block. A block's rows take their
+    # anchor role, and in a symmetric tile their candidate role too, from
+    # E_ab @ [C_b | g * C_b]. The anchor role of a block's rows is whole; the
+    # candidate role of a tile's columns is a sum over its blocks, added in
+    # block order. A tile folds its candidate and anchor rows into the front
+    # of its slot, and each block makes its scores and GEMM operands behind
+    # them. A tile writes its increments (gradient,
     # first view, last view + 1, value) into memory that the calling thread
     # takes as it submits the tile, and they are added in tile order.
-    def increment_memory(tile):
+    w, n_c = (2 * d, 2) if symmetric else (d, 1)
+
+    def increment_shapes(tile):
+        # The anchor role's increments, and the candidate role's if any.
         va, vb = tile[1] - tile[0], tile[3] - tile[2]
-        n_a, n_b = (2, 2 if tile[4] else 0) if symmetric else (1, 1)
-        return tile, np.empty((n_a * va + n_b * vb) * k * d)
+        return (n_c, va, k, d), (n_c if tile[4] or not symmetric else 0, vb, k, d)
+
+    def increment_memory(tile):
+        return tile, np.empty(sum(map(math.prod, increment_shapes(tile))))
+
+    def block_arrays(tile, block):
+        # The tile's folded candidate and anchor rows; the block's views'
+        # operand [C_b | g * C_b], kept for each later block of the same
+        # views; the block's scores, the anchor role's product, the
+        # candidate role's operand and product, and a later block's
+        # candidate-role increments.
+        vb, va, n = tile[3] - tile[2], block[1] - block[0], block[3] - block[2]
+        return ((vb * k, d + 1), (tile[1] - tile[0], k, d + 1), (va, vb, k, w * symmetric),
+                (va * n, vb * k), (va, vb, n, w), (vb, va, n, w), (vb, va, k, w), (n_c, vb, k, d))
 
     def tile_increments(item, buffer):
         tile, memory = item
-        a0, a1, b0, b1, mirrored, _ = tile
+        a0, a1, b0, b1, mirrored, blocks = tile
         va, vb = a1 - a0, b1 - b0
-        a_hat, c_hat = _carve(buffer[va * vb * k * k:], (va * k, d + 1), (vb * k, d + 1))
-        e = _exp_tile(_hat(anchors[a0:a1], 1.0 / tau, a_hat), _hat(cands[b0:b1], None, c_hat),
-                      k, tile, shift, False, buffer)
-        w = 2 * d if symmetric else d
-        rhs, out = _carve(buffer[e.size:], (va, vb, k, w), (va, vb, k, w))
-        c_rows, c_cols = coeff[a0:a1, :, b0:b1], coeff[b0:b1, :, a0:a1]
-        za, zb = anchors[a0:a1], cands[b0:b1]
+        inc_a, inc_c = _carve(memory, *increment_shapes(tile))
+        zb = cands[b0:b1]
+        for j, block in enumerate(blocks):
+            v0, v1, i0, i1, _ = block
+            c_hat, a_hat, rhs_a, s, out_a, rhs_c, out_c, later = _carve(
+                buffer, *block_arrays(tile, block))
+            first = j == 0
+            if first:
+                _hat(zb, None, c_hat)
+                _hat(anchors[a0:a1], 1.0 / tau, a_hat.reshape(va * k, d + 1))
+            za = anchors[v0:v1, i0:i1]
+            e = _exp_tile(a_hat[v0 - a0:v1 - a0, i0:i1].reshape(-1, d + 1), c_hat, k, b0, block,
+                          shift, False, s)
+            c_rows, c_cols = coeff[v0:v1, i0:i1, b0:b1], coeff[b0:b1, :, v0:v1]
+            part = inc_a[:, v0 - a0:v1 - a0, i0:i1]
+            sums = inc_c if first else later
+            if not symmetric:
+                np.matmul(e.transpose(0, 2, 1, 3), zb, out=out_a)
+                np.einsum("aib,abid->aid", c_rows, out_a, out=part[0])
+                np.multiply(c_rows.transpose(2, 0, 1)[..., None], za, out=rhs_c)
+                np.matmul(e.transpose(2, 0, 3, 1), rhs_c, out=out_c)
+                out_c.sum(axis=1, out=sums[0])
+            else:
+                if i0 == 0:
+                    _stack_rhs(zb, c_cols, rhs_a)
+                np.matmul(e.transpose(0, 2, 1, 3), rhs_a, out=out_a)
+                np.einsum("aib,abid->aid", c_rows, out_a[..., :d], out=part[0])
+                out_a[..., d:].sum(axis=1, out=part[1])
+                if not mirrored:
+                    continue
+                np.matmul(e.transpose(2, 0, 3, 1), _stack_rhs(za, c_rows, rhs_c), out=out_c)
+                np.einsum("bja,bajd->bjd", c_cols, out_c[..., :d], out=sums[0])
+                out_c[..., d:].sum(axis=1, out=sums[1])
+            if not first:
+                inc_c += later
         if not symmetric:
-            inc_a, inc_c = _carve(memory, (va, k, d), (vb, k, d))
-            np.matmul(e.transpose(0, 2, 1, 3), zb, out=out)
-            np.einsum("aib,abid->aid", c_rows, out, out=inc_a)
-            weighted = rhs.reshape(vb, va, k, d)
-            np.multiply(c_rows.transpose(2, 0, 1)[..., None], za, out=weighted)
-            product = out.reshape(vb, va, k, d)
-            np.matmul(e.transpose(2, 0, 3, 1), weighted, out=product)
-            return [(grad_a, a0, a1, inc_a), (grad_c, b0, b1, product.sum(axis=1, out=inc_c))]
-        inc_a, inc_b = _carve(memory, (2, va, k, d), (2 * mirrored, vb, k, d))
-        np.matmul(e.transpose(0, 2, 1, 3), _stack_rhs(zb, c_cols, rhs), out=out)
-        steps = [(grad_a, a0, a1, np.einsum("aib,abid->aid", c_rows, out[..., :d], out=inc_a[0])),
-                 (grad_a, a0, a1, out[..., d:].sum(axis=1, out=inc_a[1]))]
-        if mirrored:
-            rhs, out = rhs.reshape(vb, va, k, w), out.reshape(vb, va, k, w)
-            np.matmul(e.transpose(2, 0, 3, 1), _stack_rhs(za, c_rows, rhs), out=out)
-            steps.append((grad_a, b0, b1,
-                          np.einsum("bja,bajd->bjd", c_cols, out[..., :d], out=inc_b[0])))
-            steps.append((grad_a, b0, b1, out[..., d:].sum(axis=1, out=inc_b[1])))
-        return steps
+            return [(grad_a, a0, a1, inc_a[0]), (grad_c, b0, b1, inc_c[0])]
+        return [(grad_a, a0, a1, inc) for inc in inc_a] + [(grad_a, b0, b1, inc) for inc in inc_c]
 
-    # A slot holds a tile's scores, then its folded rows or, once the scores
-    # are made, its two GEMM operands of at most (va, vb, K, 2d) each.
-    slot = max((a1 - a0) * (b1 - b0) * k * k
-               + max((a1 - a0 + b1 - b0) * k * (d + 1), 4 * (a1 - a0) * (b1 - b0) * k * d)
-               for a0, a1, b0, b1, _, _ in tiles)
+    slot = max(sum(map(math.prod, block_arrays(tile, block)))
+               for tile in tiles for block in tile[5])
     for steps in _ordered_map(tile_increments, tiles, slot, increment_memory):
         for grad, v0, v1, increment in steps:
             grad[v0:v1] += increment
@@ -516,27 +585,40 @@ def _pass_one(anchors, cands, tau, tiles, gather, shift):
     *lead, ma, k, d = anchors.shape
     mc = cands.shape[-3]
     c_hat = _hat(cands, None, np.empty((*lead, mc * k, d + 1)))
-    a_hat = _hat(anchors, 1.0 / tau, np.empty((*lead, ma * k, d + 1)))
+    a_hat = _hat(anchors, 1.0 / tau, np.empty((*lead, ma * k, d + 1))).reshape(*lead, ma, k, -1)
+    neg = np.empty((*lead, ma, k, mc))
 
     # The negative sums of each anchor row in each candidate view, under
-    # that row's shift for the view. A tile fills its own shifts, a slice of
-    # shift that no other tile writes.
+    # that row's shift for the view. A tile writes its own slices of neg and
+    # fills its own shifts, slices that no other tile writes. A mirrored
+    # tile's column sums run down its rows in order: a view split over
+    # several blocks carries its running sum in the row in front of each
+    # later block's scores.
     def tile_sums(tile, buffer):
-        a0, a1, b0, b1, mirrored, _ = tile
-        e = _exp_tile(a_hat[..., a0 * k:a1 * k, :], c_hat[..., b0 * k:b1 * k, :], k, tile,
-                      shift, True, buffer)
-        return e.sum(axis=-1), (np.moveaxis(e.sum(axis=-3), -3, -1) if mirrored else None)
+        a0, a1, b0, b1, mirrored, blocks = tile
+        cols = (b1 - b0) * k
+        for block in blocks:
+            v0, v1, i0, i1, _ = block
+            rows = (v1 - v0) * (i1 - i0)
+            s = buffer[:math.prod(lead) * (1 + rows) * cols].reshape(*lead, 1 + rows, cols)
+            e = _exp_tile(a_hat[..., v0:v1, i0:i1, :].reshape(*lead, rows, d + 1),
+                          c_hat[..., b0 * k:b1 * k, :], k, b0, block, shift, True, s[..., 1:, :])
+            neg[..., v0:v1, i0:i1, b0:b1] = e.sum(axis=-1)
+            if not mirrored:
+                continue
+            if i1 - i0 == k:
+                neg[..., b0:b1, :, v0:v1] = np.moveaxis(e.sum(axis=-3), -3, -1)
+                continue
+            if i0 > 0:
+                s[..., 0, :] = carried
+            carried = s[..., int(i0 == 0):, :].sum(axis=-2)
+            if i1 == k:
+                neg[..., b0:b1, :, v0] = carried.reshape(*lead, b1 - b0, k)
 
-    neg = np.empty((*lead, ma, k, mc))
-    tile_size = math.prod(lead) * k * k * max((t[1] - t[0]) * (t[3] - t[2]) for t in tiles)
-    for (a0, a1, b0, b1, mirrored, _), (row_sums, col_sums) in zip(
-            tiles, _ordered_map(tile_sums, tiles, tile_size)):
-        neg[..., a0:a1, :, b0:b1] = row_sums
-        if mirrored:
-            neg[..., b0:b1, :, a0:a1] = col_sums
+    for _ in _ordered_map(tile_sums, tiles, math.prod(lead) * _pass_one_slot(tiles, k)):
+        pass
     # Positives straight from the shifted scores: (K, Ma, Mc) per-sample GEMMs.
-    same = (a_hat.reshape(*lead, ma, k, -1).swapaxes(-3, -2)
-            @ np.moveaxis(c_hat.reshape(*lead, mc, k, -1), -3, -1))
+    same = a_hat.swapaxes(-3, -2) @ np.moveaxis(c_hat.reshape(*lead, mc, k, -1), -3, -1)
     return np.take(same.swapaxes(-3, -2).reshape(*lead, -1), gather, -1), neg
 
 

@@ -524,6 +524,42 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="no run CSV files"):
             aggregate(out)
 
+    @staticmethod
+    def failing_training(spec):
+        raise NumericalFailure("numerical failure at epoch 0: injected",
+                               RunRecord(spec=spec, rows=()))
+
+    def test_completed_run_clears_its_failure(self, tmp_path, monkeypatch):
+        # A run that failed and then completed leaves neither its partial
+        # record nor a failures.json naming it.
+        out = str(tmp_path)
+        sweep = SweepSpec(methods=(Method.GEOMETRIC_PVC,), m_values=(2,), seeds=(0,), k=8,
+                          train=TrainConfig(epochs=1), eval_batches=1)
+        with monkeypatch.context() as patched:
+            patched.setattr(harness, "run_training", self.failing_training)
+            (failed,) = run_sweep(sweep, out)
+        assert failed.status == "failed"
+        assert os.path.exists(failed.path + ".partial")
+        assert os.path.exists(os.path.join(out, "failures.json"))
+        (result,) = run_sweep(sweep, out)
+        assert result.status == "ran"
+        assert sorted(os.listdir(out)) == ["geometric_m02_seed0000.csv", "sweep.json"]
+
+    def test_other_sweeps_keep_failure_entries(self, tmp_path, monkeypatch):
+        out = str(tmp_path)
+        one = SweepSpec(methods=(Method.GEOMETRIC_PVC,), m_values=(2,), seeds=(0,), k=8,
+                        train=TrainConfig(epochs=1), eval_batches=1)
+        two = replace(one, methods=(Method.MULTICROP,))
+        with monkeypatch.context() as patched:
+            patched.setattr(harness, "run_training", self.failing_training)
+            (failed,) = run_sweep(one, out)
+        assert [r.status for r in run_sweep(two, out)] == ["ran"]
+        with open(os.path.join(out, "failures.json")) as fh:
+            assert json.load(fh) == [{"message": failed.message, "path": failed.path}]
+        assert os.path.exists(failed.path + ".partial")
+        assert [r.status for r in run_sweep(one, out)] == ["ran"]
+        assert not os.path.exists(os.path.join(out, "failures.json"))
+
 
 class TestAggregate:
     def test_groups_means_and_stds(self, sweep_dir):

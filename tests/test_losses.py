@@ -501,12 +501,16 @@ class TestSmallTemperature:
 
 
 class TestTiling:
+    @pytest.mark.parametrize("row_block", [losses._ROW_BLOCK, 1, 3, 4])
     @pytest.mark.parametrize("tile_rows", [1, 8])
     @pytest.mark.parametrize("tau", [TAU, SMALL_TAU])
     @pytest.mark.parametrize("method", list(ALL_ORACLES))
-    def test_multi_tile_matches_oracles(self, monkeypatch, method, tau, tile_rows):
+    def test_multi_tile_matches_oracles(self, monkeypatch, method, tau, tile_rows, row_block):
         # K = 4: one view per tile, or two with a ragged last tile at M = 3.
+        # Blocks of 1 or 3 rows split each view (3 raggedly) and carry the
+        # column sums of mirrored tiles; blocks of 4 rows are whole views.
         monkeypatch.setattr(losses, "_TILE_ROWS", tile_rows)
+        monkeypatch.setattr(losses, "_ROW_BLOCK", row_block)
         batch = for_method(method, random_embedding_batch(4, 3, 3, case=400))
         oracle = ALL_ORACLES[method]
         result, grad = _loss_and_zgrad(method, batch, tau)
@@ -514,6 +518,20 @@ class TestTiling:
         numeric = central_differences(lambda raw: float(oracle(raw, tau).mean()), batch.z)
         err = max_relative_error(grad, numeric)
         assert err < 1e-5, f"{method}: max relative gradient error {err:.3e}"
+
+    @pytest.mark.parametrize("method, m", [
+        pytest.param(method, m, id=f"{method.value}-m{m}")
+        for m in (2, 10) for method in Method if method is not Method.INFONCE or m == 2])
+    def test_row_blocks_keep_loss_bits_at_fig3_size(self, monkeypatch, method, m):
+        # At K = 1024 a block's score GEMM gives each row the bits of the
+        # whole tile's GEMM, and pass 1 adds a mirrored tile's column sums
+        # row by row either way. Other K need not keep them.
+        batch = random_embedding_batch(1024, m, 32, case=420)
+        assert losses._ROW_BLOCK < 1024
+        blocked = compute_loss(method, batch, TAU).per_sample
+        monkeypatch.setattr(losses, "_ROW_BLOCK", 1024)
+        whole = compute_loss(method, batch, TAU).per_sample
+        assert blocked.tobytes() == whole.tobytes()
 
 
 def kernel_outputs(method, batch, tau):
@@ -526,14 +544,17 @@ def kernel_outputs(method, batch, tau):
 class TestTileThreads:
     """The tile pool's width changes no bit of any output."""
 
+    @pytest.mark.parametrize("row_block", [losses._ROW_BLOCK, 1, 3])
     @pytest.mark.parametrize("width", [2, 4])
     @pytest.mark.parametrize("tau", [TAU, SMALL_TAU])
     @pytest.mark.parametrize("method", list(ALL_ORACLES))
-    def test_width_changes_no_bit(self, monkeypatch, method, tau, width):
+    def test_width_changes_no_bit(self, monkeypatch, method, tau, width, row_block):
         # K = 8: two views per tile with a ragged last one at M = 5, and one
-        # view per tile for infonce's two views. Width 4 with a short switch
-        # interval interleaves the tile threads as much as it can.
+        # view per tile for infonce's two views; each tile in one block, or
+        # in blocks of 1 or 3 rows. Width 4 with a short switch interval
+        # interleaves the tile threads as much as it can.
         monkeypatch.setattr(losses, "_TILE_ROWS", 8 if method is Method.INFONCE else 16)
+        monkeypatch.setattr(losses, "_ROW_BLOCK", row_block)
         batch = for_method(method, random_embedding_batch(8, 5, 4, case=410))
         serial, _ = at_width(monkeypatch, 1, lambda: kernel_outputs(method, batch, tau))
         interval = sys.getswitchinterval()

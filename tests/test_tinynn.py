@@ -326,25 +326,40 @@ class TestGradients:
         assert result.total == compute_loss(method, forward(params, views), tau).total
 
 
-    @pytest.mark.parametrize("method", ALL_METHODS)
-    def test_peak_memory_of_one_step(self, monkeypatch, method):
-        # tracemalloc sees numpy's buffers. At K = 1024 and pool width 1 one
-        # step peaked at 14.2-15.2 MiB at M = 4, and at 11.7 MiB for infonce
-        # at M = 2. It peaked at 19.0-19.5 (13.8) MiB while the kernel held
-        # the folded rows and the per-target arrays through pass 2, and the
-        # step held h1 and both orientations of z through the kernel.
-        m, limit = (2, 12.5) if method is Method.INFONCE else (4, 16.0)
+    @pytest.mark.parametrize("method, call, m, width, limit", [
+        pytest.param(method, "step", 2 if method is Method.INFONCE else 4, 1,
+                     7.0 if method is Method.INFONCE else 10.0, id=f"{method.value}-step-width1")
+        for method in ALL_METHODS] + [
+        pytest.param(method, call, 10, 2, limit, id=f"{method.value}-{call}-m10-width2")
+        for method in ALL_METHODS if method is not Method.INFONCE
+        for call, limit in (("step", 24.0), ("loss", 17.0))])
+    def test_peak_memory_of_one_step(self, monkeypatch, method, call, m, width, limit):
+        # tracemalloc sees numpy's buffers. At K = 1024 with 128-row blocks,
+        # a step at width 1 peaked at 8.3-8.5 MiB at M = 4 (5.8 MiB for
+        # infonce at M = 2); at width 2 and M = 10 a step peaked at
+        # 19.1-19.8 MiB and a loss-only call at 10.7-13.1 MiB. With whole
+        # K x K tiles they peaked at 14.2-15.2 (11.7), 30.8-33.4 and
+        # 24.5-27.1 MiB.
         params = init_params(rng_for(25))
         views = random_views(1024, m, case=15)
-        monkeypatch.setattr(losses, "_pool", (1, None))
-        loss_and_grads(params, views, method, 0.5)  # fills the plan cache
-        tracemalloc.start()
-        try:
-            loss_and_grads(params, views, method, 0.5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < limit * 2**20, f"{peak / 2**20:.2f} MiB"
+        if call == "step":
+            compute = lambda: loss_and_grads(params, views, method, 0.5)
+        else:
+            z = forward(params, views)
+            compute = lambda: compute_loss(method, z, 0.5)
+
+        def peak():
+            compute()  # fills the plan cache
+            tracemalloc.start()
+            try:
+                compute()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        losses._tile_pool()  # OpenBLAS runs one thread beside the pool, as in a run
+        got, _ = at_width(monkeypatch, width, peak)
+        assert got < limit * 2**20, f"{got / 2**20:.2f} MiB"
 
 
 class TestBatchedOracle:
