@@ -123,12 +123,10 @@ def mi_via_gaussian_kl(sigma0_sq: float, sigma_sq: float, m: int) -> float:
 
         KL(N(0, S) || N(0, S~)) = 0.5 * (tr(S~^{-1} S) - M + ln det S~ - ln det S)
 
-    with Cholesky factorizations. Independent of true_one_vs_rest_mi; serves
-    as its oracle. M is capped at MATRIX_ORACLE_MAX_M. scipy.linalg is
-    imported here, so that only this oracle pays for loading it.
+    with Cholesky factors, S~ = L~ L~^T and S = L L^T, from which
+    tr(S~^{-1} S) = ||L~^{-1} L||_F^2. Independent of true_one_vs_rest_mi;
+    serves as its oracle. M is capped at MATRIX_ORACLE_MAX_M.
     """
-    import scipy.linalg
-
     _check_variances(sigma0_sq, sigma_sq)
     if m < 2:
         raise ValueError(f"multiplicity m must be >= 2, got {m}")
@@ -144,12 +142,12 @@ def mi_via_gaussian_kl(sigma0_sq: float, sigma_sq: float, m: int) -> float:
     factored[1:, 1:] = latent_plus_noise_cov(m - 1)
 
     try:
-        chol_factored = scipy.linalg.cho_factor(factored, lower=True)
+        chol_factored = np.linalg.cholesky(factored)
         chol_joint = np.linalg.cholesky(joint)
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"covariance is numerically singular: {exc}") from exc
-    trace_term = np.trace(scipy.linalg.cho_solve(chol_factored, joint))
-    logdet_factored = 2.0 * float(np.sum(np.log(np.diag(chol_factored[0]))))
+    trace_term = float(np.sum(np.linalg.solve(chol_factored, chol_joint) ** 2))
+    logdet_factored = 2.0 * float(np.sum(np.log(np.diag(chol_factored))))
     logdet_joint = 2.0 * float(np.sum(np.log(np.diag(chol_joint))))
     return 0.5 * float(trace_term - m + logdet_factored - logdet_joint)
 

@@ -103,7 +103,11 @@ class RunSpec:
             raise ValueError(f"eval_batches must be >= 1, got {self.eval_batches}")
         if self.record_stride < 1:
             raise ValueError(f"record_stride must be >= 1, got {self.record_stride}")
-        streams.stream(self.seed, streams.TEST)  # validates the seed range
+        streams.check_key(self.seed, streams.TEST)  # validates the seed range
+        try:  # the key of the last held-out batch
+            streams.check_key(self.seed, streams.EVAL_BATCH, b=self.eval_batches - 1)
+        except ValueError:
+            raise ValueError(f"eval_batches {self.eval_batches} exceeds the held-out streams") from None
 
     def gaussian(self) -> GaussianConfig:
         return GaussianConfig(

@@ -29,19 +29,19 @@ candidate view, and symmetry is not used. A loss-only call runs pass 1 (the
 negative sums); gradients add pass 2, which recomputes each tile. All
 reductions run in float64 in a fixed order: equal inputs give equal bits.
 
-Blocks: a tile runs in blocks of at most _ROW_BLOCK anchor rows, in row
-order (whole views while a view fits in a block, else runs of one view's
-rows), so no K x K tile is ever held whole. Row sums, row maxima and a
-row's anchor-role products are whole rows in any block. A mirrored tile's
-column sums in pass 1 are added down its rows one by one, as a whole-tile
-sum adds them: a view split over blocks carries its running sum in the row
-in front of each later block's scores, so pass 1 has the bits of whole
-tiles. Pass 2's candidate-role product E^T @ [z_a | g * z_a] has the
-block's rows as its inner dimension, so a split tile sums it over its
-blocks in block order, which rounds otherwise than one GEMM over all rows:
-its gradients move in the last bits (at K = 1024, by at most 2.5e-16 of
-the largest entry). A tile with no more rows than one block runs as one
-block, with the bits of the whole tile.
+Tiles and blocks: one constant, _ROW_BLOCK, sizes both. A tile is a group
+of whole views holding at most _ROW_BLOCK rows, which runs as one block, or
+a single view, which runs in blocks of at most _ROW_BLOCK rows in row
+order; so no K x K tile is ever held whole. A block is a range of rows of
+every anchor view of its tile. Row sums, row maxima and a row's anchor-role
+products are whole rows in any block. A mirrored tile's column sums in
+pass 1 are added down each anchor view's rows one by one, as one sum over
+the view's rows adds them: a view split over blocks carries its running sum
+in the row in front of each later block's scores, so pass 1 has the bits of
+unsplit views. Pass 2's candidate-role product E^T @ [z_a | g * z_a] has
+the block's rows as its inner dimension, so a split view sums it over its
+blocks in block order, which rounds otherwise than one GEMM over all rows
+(at K = 1024, by at most 2.5e-16 of the largest entry).
 
 Threads: one ordered map, `_ordered_map`, runs two kinds of work on one
 pool of threads: the view tiles of a kernel call (in pass 1 a tile's
@@ -57,8 +57,9 @@ batches' values in batch order; a pass-1 tile writes its sums and shifts
 into slices of the call's arrays that no other tile writes. Each item's
 arithmetic is the same whichever thread runs it, and OpenBLAS splits a
 GEMM between its threads by blocks of the output, never within a dot
-product, so every output bit is the same at any width. Without a handle on numpy's OpenBLAS the width is 1 and the items
-run in order on the calling thread; so do single-item maps.
+product, so every output bit is the same at any width. Without a handle on
+numpy's OpenBLAS the width is 1 and the items run in order on the calling
+thread; so do single-item maps.
 
 Two rules hold for the tasks. Nested calls run serially: a kernel call
 inside a task runs its tiles one after another on the task's thread, since
@@ -81,10 +82,12 @@ the per-target arrays made from its sums reuse their memory, and those die
 before pass 2, which holds the negative-score coefficients (Ma, K, Mc),
 the gradients and the increments of at most twice the pool's width of
 tiles. A pass-1 slot holds one block's scores behind one carried row. A
-pass-2 slot holds the tile's folded rows and the anchor-role operand of
-the block's views, and then one block's scores, its other GEMM operand,
-its products, and a later block's candidate-role increments. At K = 1024, M = 10 and 128-row blocks each copy of the
-embeddings is 2.5 MiB, a slot 1.0 MiB in pass 1 and 3.1 MiB in pass 2.
+pass-2 slot holds the tile's folded rows and, in a symmetric tile, the
+anchor role's operand [C_b | g * C_b], folded once per tile; then one
+block's scores, its other GEMM operand, its products, and a later block's
+candidate-role increments. At K = 1024, M = 10 and 128-row blocks each copy
+of the embeddings is 2.5 MiB, a slot 1.0 MiB in pass 1 and 3.1 MiB in
+pass 2.
 """
 
 from __future__ import annotations
@@ -112,9 +115,8 @@ NORMALIZE_EPS = 1e-30
 MIN_TAU = 2.0**54 / (math.sqrt(sys.float_info.max) - 37 * 2.0**53)
 # exp(-700) is still a normal double; below tau = 2/700 rows take their own max.
 _SHIFT_LIMIT = 700.0
-# Views are grouped into tiles of at most this many rows (at least one view).
-_TILE_ROWS = 1024
-# A tile runs in blocks of at most this many anchor rows.
+# A tile holds whole views of at most this many rows, or one view that runs
+# in blocks of at most this many anchor rows.
 _ROW_BLOCK = 128
 # The tile pool as (width, executor or None), made at the first map with several items.
 _pool = None
@@ -197,6 +199,15 @@ def l2_normalize(v: np.ndarray) -> np.ndarray:
     return v / norms
 
 
+def _through_normalize(grad: np.ndarray, unit: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """The gradient w.r.t. rows v of a loss whose gradient w.r.t. unit = v / |v|
+    is grad: (grad - (grad . unit) unit) / |v|, written into grad. norms holds
+    |v| and broadcasts against grad."""
+    grad -= np.sum(grad * unit, axis=-1, keepdims=True) * unit
+    grad /= norms
+    return grad
+
+
 def _check_tau(tau: float) -> None:
     if not (isinstance(tau, (int, float)) and MIN_TAU <= tau < math.inf):
         raise ValueError(f"temperature tau must be a finite real >= {MIN_TAU:.3g}, at which "
@@ -211,49 +222,43 @@ def _check_tau(tau: float) -> None:
 
 @functools.lru_cache(maxsize=64)
 def _plan(others: bool, per_view: bool, ma: int, mc: int, k: int, symmetric: bool,
-          tile_rows: int, row_block: int):
+          row_block: int):
     """Index work shared by every call of one shape: targets (Ma, T), the
     candidate views holding each anchor view's positives; the tiles
     (a0, a1, b0, b1, mirrored, blocks), anchor views [a0, a1) against
     candidate views [b0, b1), a mirrored tile also standing for its
     transpose; and the flat indices of the targets in a (Ma, K, Mc) array.
-    A tile runs in blocks (v0, v1, i0, i1, same) of at most row_block anchor
-    rows, in row order: rows [i0, i1) of views [v0, v1), either whole views
-    or part of one view, with the flat indices of their same-sample entries
-    in the block's (v1 - v0, i1 - i0, b1 - b0, K) scores."""
+    A tile is a group of whole views of at most row_block rows, or one view.
+    It runs in blocks (i0, i1, same) of at most row_block anchor rows, in row
+    order: rows [i0, i1) of each of its anchor views, with the flat indices
+    of their same-sample entries in the block's (a1 - a0, i1 - i0, b1 - b0, K)
+    scores. A tile of several views is one block."""
     if others:
         targets = np.array([[b for b in range(mc) if b != a] for a in range(ma)])
     else:
         targets = np.arange(ma)[:, None]
     needed = np.full((ma, mc), not per_view)
     needed[np.arange(ma)[:, None], targets] = True
-    rows, step, tiles = np.arange(k), max(1, tile_rows // k), []
+    rows, step, tiles = np.arange(k), max(1, row_block // k), []
     for a0 in range(0, ma, step):
         a1 = min(a0 + step, ma)
         for b0 in range(a0 if symmetric else 0, mc, step):
             b1 = min(b0 + step, mc)
             mirrored = symmetric and b0 != a0
             if needed[a0:a1, b0:b1].any() or (mirrored and needed[b0:b1, a0:a1].any()):
-                tiles.append((a0, a1, b0, b1, mirrored, _blocks(a0, a1, b1 - b0, k, row_block)))
+                tiles.append((a0, a1, b0, b1, mirrored, _blocks(a1 - a0, b1 - b0, k, row_block)))
     gather = (np.arange(ma)[:, None, None] * k + rows[:, None]) * mc + targets[:, None, :]
     return targets, tuple(tiles), gather
 
 
-def _blocks(a0, a1, vb, k, row_block):
-    """The row blocks of anchor views [a0, a1) against vb candidate views:
-    groups of whole views while a view fits in a block, else runs of at
-    most row_block rows of one view."""
-    if k <= row_block:
-        group = row_block // k
-        spans = [(v0, min(v0 + group, a1), 0, k) for v0 in range(a0, a1, group)]
-    else:
-        spans = [(v, v + 1, i0, min(i0 + row_block, k))
-                 for v in range(a0, a1) for i0 in range(0, k, row_block)]
+def _blocks(va, vb, k, row_block):
+    """The row blocks of va anchor views against vb candidate views: rows
+    [i0, i1) of every anchor view, at most row_block rows at a time."""
     blocks = []
-    for v0, v1, i0, i1 in spans:
-        i = np.arange(i1 - i0)[:, None]
-        same = ((np.arange(v1 - v0)[:, None, None] * (i1 - i0) + i) * vb + np.arange(vb)) * k
-        blocks.append((v0, v1, i0, i1, (same + i0 + i).ravel()))
+    for i0 in range(0, k, row_block):
+        i = np.arange(i0, min(i0 + row_block, k))[:, None]
+        same = ((np.arange(va)[:, None, None] * len(i) + i - i0) * vb + np.arange(vb)) * k + i
+        blocks.append((i0, i0 + len(i), same.ravel()))
     return tuple(blocks)
 
 
@@ -355,14 +360,14 @@ def _ordered_map(fn, items, size, prepare=None):
 def _pass_one_slot(tiles, k):
     """Floats of a pass-1 slot for one batch: the largest block's scores,
     behind one row for a carried column sum."""
-    return max((1 + (v1 - v0) * (i1 - i0)) * (b1 - b0) * k
-               for _, _, b0, b1, _, blocks in tiles for v0, v1, i0, i1, _ in blocks)
+    return max((1 + (a1 - a0) * (i1 - i0)) * (b1 - b0) * k
+               for a0, a1, b0, b1, _, blocks in tiles for i0, i1, _ in blocks)
 
 
 def _batch_slot(k, m):
     """Floats of the pass-1 slot that a loss-only call on K samples of at
     most M views needs, without stacked batches."""
-    return _pass_one_slot(_plan(True, False, m, m, k, False, _TILE_ROWS, _ROW_BLOCK)[1], k)
+    return _pass_one_slot(_plan(True, False, m, m, k, False, _ROW_BLOCK)[1], k)
 
 
 def _map_batches(fn, n, k, m):
@@ -402,23 +407,23 @@ def _hat(views, inv_tau, out):
     return out
 
 
-def _exp_tile(a_hat, c_hat, k, b0, block, shift, fill, s):
+def _exp_tile(a_hat, c_hat, k, tile, block, shift, fill, s):
     """exp of one block of a tile's shifted scores as (va, n, vb, K), every
     same-sample entry zero, written into s (va * n, vb * K). a_hat holds the
-    block's folded anchor rows and c_hat the tile's folded candidate rows,
-    from candidate view b0 on. shift is None under the constant shift; else
-    the per-row, per-view shifts, which fill takes from this block's
-    maxima."""
-    v0, v1, i0, i1, same = block
+    block's folded anchor rows and c_hat the tile's folded candidate rows.
+    shift is None under the constant shift; else the per-row, per-view
+    shifts, whose rows of this block fill takes from its maxima."""
+    a0, a1, b0, b1 = tile[:4]
+    i0, i1, same = block
     lead = s.shape[:-2]
     np.matmul(a_hat, np.swapaxes(c_hat, -1, -2), out=s)
-    e = s.reshape(*lead, v1 - v0, i1 - i0, -1, k)
+    e = s.reshape(*lead, a1 - a0, i1 - i0, b1 - b0, k)
     if shift is None:
         np.exp(s, out=s)
         s.reshape(*lead, -1)[..., same] = 0.0
         return e
     s.reshape(*lead, -1)[..., same] = -np.inf
-    rows = shift[..., v0:v1, i0:i1, b0:b0 + e.shape[-2]]
+    rows = shift[..., a0:a1, i0:i1, b0:b1]
     if fill:
         rows[...] = e.max(axis=-1)
     e -= rows[..., None]
@@ -442,7 +447,7 @@ def _candidate_set_loss(anchors, cands, tau, others, log_mean_exp, per_view, wan
     rowmax = 2.0 / tau > _SHIFT_LIMIT
     symmetric = cands is anchors and not rowmax
     targets, tiles, gather = _plan(others, per_view, ma, cands.shape[-3], k, symmetric,
-                                   _TILE_ROWS, _ROW_BLOCK)
+                                   _ROW_BLOCK)
     shift = np.zeros((*lead, ma, k, cands.shape[-3])) if rowmax else None
     per_sample, coeff, grad_a, grad_c = _loss_terms(
         anchors, cands, tau, targets.shape[1], tiles, gather, shift, log_mean_exp, per_view,
@@ -454,11 +459,12 @@ def _candidate_set_loss(anchors, cands, tau, others, log_mean_exp, per_view, wan
     # anchor role, and in a symmetric tile their candidate role too, from
     # E_ab @ [C_b | g * C_b]. The anchor role of a block's rows is whole; the
     # candidate role of a tile's columns is a sum over its blocks, added in
-    # block order. A tile folds its candidate and anchor rows into the front
-    # of its slot, and each block makes its scores and GEMM operands behind
-    # them. A tile writes its increments (gradient,
-    # first view, last view + 1, value) into memory that the calling thread
-    # takes as it submits the tile, and they are added in tile order.
+    # block order. A tile folds its candidate and anchor rows, and in a
+    # symmetric tile the operand [C_b | g * C_b], into the front of its slot,
+    # and each block makes its scores and GEMM operands behind them. A tile
+    # writes its increments (gradient, first view, last view + 1, value) into
+    # memory that the calling thread takes as it submits the tile, and they
+    # are added in tile order.
     w, n_c = (2 * d, 2) if symmetric else (d, 1)
 
     def increment_shapes(tile):
@@ -469,61 +475,49 @@ def _candidate_set_loss(anchors, cands, tau, others, log_mean_exp, per_view, wan
     def increment_memory(tile):
         return tile, np.empty(sum(map(math.prod, increment_shapes(tile))))
 
-    def block_arrays(tile, block):
-        # The tile's folded candidate and anchor rows; the block's views'
-        # operand [C_b | g * C_b], kept for each later block of the same
-        # views; the block's scores, the anchor role's product, the
+    def block_arrays(tile, n):
+        # The tile's folded candidate and anchor rows and symmetric operand;
+        # behind them an n-row block's scores, the anchor role's product, the
         # candidate role's operand and product, and a later block's
         # candidate-role increments.
-        vb, va, n = tile[3] - tile[2], block[1] - block[0], block[3] - block[2]
-        return ((vb * k, d + 1), (tile[1] - tile[0], k, d + 1), (va, vb, k, w * symmetric),
+        va, vb = tile[1] - tile[0], tile[3] - tile[2]
+        return ((vb * k, d + 1), (va, k, d + 1), (va, vb, k, w * symmetric),
                 (va * n, vb * k), (va, vb, n, w), (vb, va, n, w), (vb, va, k, w), (n_c, vb, k, d))
 
     def tile_increments(item, buffer):
         tile, memory = item
         a0, a1, b0, b1, mirrored, blocks = tile
-        va, vb = a1 - a0, b1 - b0
         inc_a, inc_c = _carve(memory, *increment_shapes(tile))
-        zb = cands[b0:b1]
+        zb, c_cols = cands[b0:b1], coeff[b0:b1, :, a0:a1]
+        c_hat, a_hat, rhs_a = _carve(buffer, *block_arrays(tile, 0)[:3])
+        _hat(zb, None, c_hat)
+        _hat(anchors[a0:a1], 1.0 / tau, a_hat.reshape(-1, d + 1))
+        rhs_a = _stack_rhs(zb, c_cols, rhs_a) if symmetric else zb
         for j, block in enumerate(blocks):
-            v0, v1, i0, i1, _ = block
-            c_hat, a_hat, rhs_a, s, out_a, rhs_c, out_c, later = _carve(
-                buffer, *block_arrays(tile, block))
-            first = j == 0
-            if first:
-                _hat(zb, None, c_hat)
-                _hat(anchors[a0:a1], 1.0 / tau, a_hat.reshape(va * k, d + 1))
-            za = anchors[v0:v1, i0:i1]
-            e = _exp_tile(a_hat[v0 - a0:v1 - a0, i0:i1].reshape(-1, d + 1), c_hat, k, b0, block,
-                          shift, False, s)
-            c_rows, c_cols = coeff[v0:v1, i0:i1, b0:b1], coeff[b0:b1, :, v0:v1]
-            part = inc_a[:, v0 - a0:v1 - a0, i0:i1]
-            sums = inc_c if first else later
-            if not symmetric:
-                np.matmul(e.transpose(0, 2, 1, 3), zb, out=out_a)
-                np.einsum("aib,abid->aid", c_rows, out_a, out=part[0])
-                np.multiply(c_rows.transpose(2, 0, 1)[..., None], za, out=rhs_c)
-                np.matmul(e.transpose(2, 0, 3, 1), rhs_c, out=out_c)
-                out_c.sum(axis=1, out=sums[0])
-            else:
-                if i0 == 0:
-                    _stack_rhs(zb, c_cols, rhs_a)
-                np.matmul(e.transpose(0, 2, 1, 3), rhs_a, out=out_a)
-                np.einsum("aib,abid->aid", c_rows, out_a[..., :d], out=part[0])
+            i0, i1, _ = block
+            s, out_a, rhs_c, out_c, later = _carve(buffer, *block_arrays(tile, i1 - i0))[3:]
+            e = _exp_tile(a_hat[:, i0:i1].reshape(-1, d + 1), c_hat, k, tile, block, shift,
+                          False, s)
+            c_rows = coeff[a0:a1, i0:i1, b0:b1]
+            part = inc_a[:, :, i0:i1]
+            np.matmul(e.transpose(0, 2, 1, 3), rhs_a, out=out_a)
+            np.einsum("aib,abid->aid", c_rows, out_a[..., :d], out=part[0])
+            if symmetric:
                 out_a[..., d:].sum(axis=1, out=part[1])
                 if not mirrored:
                     continue
-                np.matmul(e.transpose(2, 0, 3, 1), _stack_rhs(za, c_rows, rhs_c), out=out_c)
+            sums = inc_c if j == 0 else later
+            np.matmul(e.transpose(2, 0, 3, 1), _stack_rhs(anchors[a0:a1, i0:i1], c_rows, rhs_c),
+                      out=out_c)
+            if symmetric:
                 np.einsum("bja,bajd->bjd", c_cols, out_c[..., :d], out=sums[0])
-                out_c[..., d:].sum(axis=1, out=sums[1])
-            if not first:
+            out_c[..., -d:].sum(axis=1, out=sums[-1])
+            if j > 0:
                 inc_c += later
-        if not symmetric:
-            return [(grad_a, a0, a1, inc_a[0]), (grad_c, b0, b1, inc_c[0])]
-        return [(grad_a, a0, a1, inc) for inc in inc_a] + [(grad_a, b0, b1, inc) for inc in inc_c]
+        return [(grad_a, a0, a1, inc) for inc in inc_a] + [(grad_c, b0, b1, inc) for inc in inc_c]
 
-    slot = max(sum(map(math.prod, block_arrays(tile, block)))
-               for tile in tiles for block in tile[5])
+    slot = max(sum(map(math.prod, block_arrays(tile, i1 - i0)))
+               for tile in tiles for i0, i1, _ in tile[5])
     for steps in _ordered_map(tile_increments, tiles, slot, increment_memory):
         for grad, v0, v1, increment in steps:
             grad[v0:v1] += increment
@@ -591,29 +585,25 @@ def _pass_one(anchors, cands, tau, tiles, gather, shift):
     # The negative sums of each anchor row in each candidate view, under
     # that row's shift for the view. A tile writes its own slices of neg and
     # fills its own shifts, slices that no other tile writes. A mirrored
-    # tile's column sums run down its rows in order: a view split over
-    # several blocks carries its running sum in the row in front of each
-    # later block's scores.
+    # tile's column sums run down each anchor view's rows in order: a view
+    # split over several blocks carries its running sum in the row in front
+    # of each later block's scores.
     def tile_sums(tile, buffer):
         a0, a1, b0, b1, mirrored, blocks = tile
-        cols = (b1 - b0) * k
+        va, cols = a1 - a0, (b1 - b0) * k
         for block in blocks:
-            v0, v1, i0, i1, _ = block
-            rows = (v1 - v0) * (i1 - i0)
+            i0, i1, _ = block
+            rows = va * (i1 - i0)
             s = buffer[:math.prod(lead) * (1 + rows) * cols].reshape(*lead, 1 + rows, cols)
-            e = _exp_tile(a_hat[..., v0:v1, i0:i1, :].reshape(*lead, rows, d + 1),
-                          c_hat[..., b0 * k:b1 * k, :], k, b0, block, shift, True, s[..., 1:, :])
-            neg[..., v0:v1, i0:i1, b0:b1] = e.sum(axis=-1)
-            if not mirrored:
-                continue
-            if i1 - i0 == k:
-                neg[..., b0:b1, :, v0:v1] = np.moveaxis(e.sum(axis=-3), -3, -1)
-                continue
-            if i0 > 0:
-                s[..., 0, :] = carried
-            carried = s[..., int(i0 == 0):, :].sum(axis=-2)
-            if i1 == k:
-                neg[..., b0:b1, :, v0] = carried.reshape(*lead, b1 - b0, k)
+            e = _exp_tile(a_hat[..., a0:a1, i0:i1, :].reshape(*lead, rows, d + 1),
+                          c_hat[..., b0 * k:b1 * k, :], k, tile, block, shift, True, s[..., 1:, :])
+            neg[..., a0:a1, i0:i1, b0:b1] = e.sum(axis=-1)
+            if mirrored:
+                if i0 > 0:
+                    s[..., :1, :] = carried
+                carried = s[..., int(i0 == 0):, :].reshape(*lead, va, -1, cols).sum(axis=-2)
+        if mirrored:
+            neg[..., b0:b1, :, a0:a1] = np.moveaxis(carried.reshape(*lead, va, b1 - b0, k), -3, -1)
 
     for _ in _ordered_map(tile_sums, tiles, math.prod(lead) * _pass_one_slot(tiles, k)):
         pass
@@ -624,10 +614,12 @@ def _pass_one(anchors, cands, tau, tiles, gather, shift):
 
 def _stack_rhs(rows, coeff, out):
     """[rows | coeff * rows] per sub-block, written into out: rows (v, K, d),
-    coeff (v, K, u), out (u, v, K, 2d)."""
+    coeff (v, K, u), out (u, v, K, 2d); an out (u, v, K, d) takes coeff * rows
+    alone."""
     d = rows.shape[-1]
-    out[..., :d] = rows
-    np.multiply(coeff.transpose(2, 0, 1)[..., None], rows, out=out[..., d:])
+    if out.shape[-1] > d:
+        out[..., :d] = rows
+    np.multiply(coeff.transpose(2, 0, 1)[..., None], rows, out=out[..., -d:])
     return out
 
 
@@ -697,6 +689,6 @@ def _per_sample_loss(method: Method, zt: np.ndarray, tau: float, want_grad: bool
     q /= u_norms
     per_sample, grad, grad_q = _candidate_set_loss(zt, q, tau, False, False, False, want_grad)
     if want_grad:
-        grad_u = (grad_q - np.sum(grad_q * q, axis=-1, keepdims=True) * q) / u_norms
+        grad_u = _through_normalize(grad_q, q, u_norms)
         grad += (grad_u.sum(axis=0) - grad_u) / (m - 1)
     return per_sample, grad

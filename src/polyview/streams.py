@@ -29,6 +29,14 @@ def stream(seed: int, purpose: int, a: int = 0, b: int = 0) -> np.random.Generat
     The tuple is packed into the second Philox key word, so distinct tuples
     give provably non-overlapping streams.
     """
+    check_key(seed, purpose, a, b)
+    packed = (purpose << 48) | (a << 16) | b
+    key = np.array([seed, packed], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def check_key(seed: int, purpose: int, a: int = 0, b: int = 0) -> None:
+    """Raise ValueError unless (seed, purpose, a, b) keys a stream."""
     if not 0 <= seed <= _MASK64:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
     if not 0 <= purpose < (1 << 8):
@@ -37,6 +45,3 @@ def stream(seed: int, purpose: int, a: int = 0, b: int = 0) -> np.random.Generat
         raise ValueError(f"stream index a out of range: {a}")
     if not 0 <= b < (1 << 16):
         raise ValueError(f"stream index b out of range: {b}")
-    packed = (purpose << 48) | (a << 16) | b
-    key = np.array([seed, packed], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))

@@ -41,6 +41,7 @@ from .losses import (
     Method,
     _NumericalError,
     _per_sample_loss,
+    _through_normalize,
     _view_major,
     compute_loss,
 )
@@ -318,10 +319,8 @@ def loss_and_grads(
     del z
     per_sample, dz = _per_sample_loss(method, zt, tau, True)
 
-    # Through z = h2 / |h2|, row by row in dz's memory, still view-major:
-    # dh2 = (dz - (dz . z) z) / |h2|.
-    dz -= np.sum(dz * zt, axis=-1, keepdims=True) * zt
-    dz /= norms.reshape(views.shape).T[..., None]
+    # Through z = h2 / |h2|, row by row in dz's memory, still view-major.
+    _through_normalize(dz, zt, norms.reshape(views.shape).T[..., None])
     # The sums over rows below run in sample-major order. zt and dz die
     # before the first layer's backward pass allocates arrays of their size.
     dh2 = dz.transpose(1, 0, 2).reshape(-1, D_OUT)

@@ -144,6 +144,19 @@ class TestTrain:
         ) == 1
         assert "infonce" in capsys.readouterr().err
 
+    def test_eval_batches_beyond_stream_range_refused_before_training(self, tmp_path,
+                                                                      capsys, monkeypatch):
+        def never(_spec):
+            raise AssertionError("trained despite eval batches beyond the stream range")
+
+        monkeypatch.setattr(cli, "run_training", never)
+        assert main(
+            ["train", "--method", "geometric", "--m", "2", "--k", "8",
+             "--eval-batches", "65537", "--out", str(tmp_path / "run.csv")]
+        ) == 1
+        assert "eval_batches 65537 exceeds" in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
+
     def test_missing_output_directory_refused_before_training(self, tmp_path, capsys,
                                                              monkeypatch):
         def never(_spec):

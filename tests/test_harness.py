@@ -85,6 +85,12 @@ class TestRunSpec:
         with pytest.raises(ValueError):
             tiny_spec(**kw)
 
+    def test_eval_batches_within_the_stream_range(self):
+        # Held-out batch j is drawn from EVAL_BATCH stream index b = j < 2**16.
+        assert tiny_spec(eval_batches=65536).eval_batches == 65536
+        with pytest.raises(ValueError, match="eval_batches 65537 exceeds"):
+            tiny_spec(eval_batches=65537)
+
     def test_gaussian_config_and_true_mi(self):
         spec = tiny_spec(m=4, k=32, sigma0_sq=2.0, sigma_sq=0.5, seed=9)
         cfg = spec.gaussian()
@@ -390,6 +396,8 @@ class TestSweepSpec:
             self.make(methods=(Method.INFONCE,), m_values=(2, 3))
         with pytest.raises(ValueError, match="jobs"):
             self.make(jobs=0)
+        with pytest.raises(ValueError, match="eval_batches 65537 exceeds"):
+            SweepSpec.from_json_dict({**self.make().to_json_dict(), "eval_batches": 65537})
 
 
 @pytest.fixture(scope="module")
@@ -725,15 +733,15 @@ class TestStudiesOverTheTauDomain:
 
 
 # A kernel call inside a batch task with more than one view tile: at K = 16,
-# sixteen rows make one view per tile.
-TASK_TILE_ROWS = 16
+# blocks of sixteen rows make one view per tile.
+TASK_ROW_BLOCK = 16
 WIDTHS = [1, 2, 4]
 
 
 def at_widths(monkeypatch, compute):
     """compute() at each pool width of WIDTHS, with short switch intervals
     under threads, and the number of items each width's pool ran."""
-    monkeypatch.setattr(losses, "_TILE_ROWS", TASK_TILE_ROWS)
+    monkeypatch.setattr(losses, "_ROW_BLOCK", TASK_ROW_BLOCK)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -750,7 +758,7 @@ class TestBatchTasks:
     def test_eval_row_equals_serial_loop(self, monkeypatch, method):
         spec = tiny_spec(method=method, m=3, k=16, eval_batches=5)
         params = init_params(streams.stream(0, streams.TEST, a=5))
-        monkeypatch.setattr(losses, "_TILE_ROWS", TASK_TILE_ROWS)
+        monkeypatch.setattr(losses, "_ROW_BLOCK", TASK_ROW_BLOCK)
         losses_by_batch = []
         for j in range(spec.eval_batches):
             batch = sample_batch(spec.gaussian(),

@@ -28,6 +28,7 @@ from polyview.losses import (
     LossResult,
     Method,
     _loss_and_zgrad,
+    _per_sample_loss,
     compute_loss,
     l2_normalize,
     loss_pair_infonce,
@@ -501,18 +502,27 @@ class TestSmallTemperature:
 
 
 class TestTiling:
-    @pytest.mark.parametrize("row_block", [losses._ROW_BLOCK, 1, 3, 4])
-    @pytest.mark.parametrize("tile_rows", [1, 8])
+    @pytest.mark.parametrize("row_block", [losses._ROW_BLOCK, 1, 3, 4, 8])
+    @pytest.mark.parametrize("stack", [1, 8])
     @pytest.mark.parametrize("tau", [TAU, SMALL_TAU])
     @pytest.mark.parametrize("method", list(ALL_ORACLES))
-    def test_multi_tile_matches_oracles(self, monkeypatch, method, tau, tile_rows, row_block):
-        # K = 4: one view per tile, or two with a ragged last tile at M = 3.
-        # Blocks of 1 or 3 rows split each view (3 raggedly) and carry the
-        # column sums of mirrored tiles; blocks of 4 rows are whole views.
-        monkeypatch.setattr(losses, "_TILE_ROWS", tile_rows)
+    def test_multi_tile_matches_oracles(self, monkeypatch, method, tau, stack, row_block):
+        # K = 4, M = 3: at 128 rows one tile of every view; at 8, tiles of two
+        # views and a ragged one of one view; at 4, one view a tile; at 3 and
+        # 1, one view in blocks of 3 + 1 or of 1 row, which carry the column
+        # sums of mirrored tiles. The loss-only pass also scores stack batches
+        # on a leading axis, as the gradient oracle does, each with the bits
+        # of its own call.
         monkeypatch.setattr(losses, "_ROW_BLOCK", row_block)
-        batch = for_method(method, random_embedding_batch(4, 3, 3, case=400))
+        batches = [for_method(method, random_embedding_batch(4, 3, 3, case=400 + j))
+                   for j in range(stack)]
         oracle = ALL_ORACLES[method]
+        stacked = _per_sample_loss(method, np.stack([b.z.transpose(1, 0, 2) for b in batches]),
+                                   tau, False)[0]
+        for batch, per_sample in zip(batches, stacked):
+            np.testing.assert_allclose(per_sample, oracle(batch.z, tau), rtol=0, atol=1e-12)
+            assert per_sample.tobytes() == compute_loss(method, batch, tau).per_sample.tobytes()
+        batch = batches[0]
         result, grad = _loss_and_zgrad(method, batch, tau)
         np.testing.assert_allclose(result.per_sample, oracle(batch.z, tau), rtol=0, atol=1e-12)
         numeric = central_differences(lambda raw: float(oracle(raw, tau).mean()), batch.z)
@@ -549,13 +559,14 @@ class TestTileThreads:
     @pytest.mark.parametrize("tau", [TAU, SMALL_TAU])
     @pytest.mark.parametrize("method", list(ALL_ORACLES))
     def test_width_changes_no_bit(self, monkeypatch, method, tau, width, row_block):
-        # K = 8: two views per tile with a ragged last one at M = 5, and one
-        # view per tile for infonce's two views; each tile in one block, or
-        # in blocks of 1 or 3 rows. Width 4 with a short switch interval
-        # interleaves the tile threads as much as it can.
-        monkeypatch.setattr(losses, "_TILE_ROWS", 8 if method is Method.INFONCE else 16)
+        # At 128 rows a block, K = 32 makes tiles of four views with a ragged
+        # one of one view at M = 5, and K = 128 one view a tile for infonce's
+        # two views, so every case has several tiles; blocks of 1 or 3 rows
+        # split each view. Width 4 with a short switch interval interleaves
+        # the tile threads as much as it can.
         monkeypatch.setattr(losses, "_ROW_BLOCK", row_block)
-        batch = for_method(method, random_embedding_batch(8, 5, 4, case=410))
+        k = 128 if method is Method.INFONCE else 32
+        batch = for_method(method, random_embedding_batch(k, 5, 4, case=410))
         serial, _ = at_width(monkeypatch, 1, lambda: kernel_outputs(method, batch, tau))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -572,7 +583,7 @@ class TestTileThreads:
     @pytest.mark.parametrize("method", [Method.GEOMETRIC_PVC, Method.SUFFSTATS])
     def test_stacked_sets_width_changes_no_bit(self, monkeypatch, method):
         # The oracle's chunks of parameter sets stack on a leading axis.
-        monkeypatch.setattr(losses, "_TILE_ROWS", 8)
+        monkeypatch.setattr(losses, "_ROW_BLOCK", 8)
         params = init_params(streams.stream(0, streams.TEST, a=2))
         views = streams.stream(0, streams.TEST, a=3).standard_normal((4, 3))
         (serial, _), (threaded, ran) = [
@@ -604,7 +615,7 @@ before = (threading.active_count(), blas_threads())
 import polyview
 from polyview import losses
 after_import = (threading.active_count(), blas_threads())
-losses._TILE_ROWS = 4
+losses._ROW_BLOCK = 4
 raw = np.random.default_rng(0).normal(size=(4, 3, 2))
 batch = losses.EmbeddingBatch(z=losses.l2_normalize(raw))
 losses.compute_loss(losses.Method.GEOMETRIC_PVC, batch, 0.5)
@@ -633,7 +644,7 @@ import os, sys, time
 import numpy as np
 from polyview import harness, losses, streams, tinynn
 
-losses._TILE_ROWS = 4
+losses._ROW_BLOCK = 4
 raw = np.random.default_rng(0).normal(size=(4, 3, 2))
 batch = losses.EmbeddingBatch(z=losses.l2_normalize(raw))
 spec = harness.RunSpec(method=losses.Method.GEOMETRIC_PVC, m=3, k=4, eval_batches=6)
@@ -676,7 +687,7 @@ from polyview import harness, losses, streams, tinynn
 
 # Every thread of a width-2 pool runs a batch task whose kernel calls have
 # six view tiles each, with two more tasks queued behind them.
-losses._TILE_ROWS = 4
+losses._ROW_BLOCK = 4
 losses._pool = (2, ThreadPoolExecutor(2))
 spec = harness.RunSpec(method=losses.Method.GEOMETRIC_PVC, m=3, k=4, eval_batches=8)
 params = tinynn.init_params(streams.stream(0, streams.INIT))

@@ -13,7 +13,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import erf
 
 from conftest import at_width, unit_rows
 from polyview import losses, streams, tinynn
@@ -118,6 +117,12 @@ def bits(x: np.ndarray) -> np.ndarray:
     return np.asarray(x, dtype=np.float64).view(np.int64)
 
 
+def scipy_erf(x: np.ndarray) -> np.ndarray:
+    """scipy.special.erf, the reference; the test skips without scipy, which
+    only the test extra installs."""
+    return pytest.importorskip("scipy.special").erf(x)
+
+
 class TestErf:
     """tinynn._erf runs cephes's algorithm, which scipy.special.erf runs;
     only its exp, taken from numpy for |x| > 1, may round otherwise."""
@@ -126,13 +131,13 @@ class TestErf:
         edges = np.array([1.0, np.nextafter(1.0, 0.0), 5e-324, 1e-300, 1e-8, 0.5])
         for x in (np.linspace(-1.0, 1.0, 200_001), rng_for(30).uniform(-1.0, 1.0, 100_000),
                   np.concatenate([edges, -edges])):
-            assert np.array_equal(bits(tinynn._erf(x)), bits(erf(x)))
+            assert np.array_equal(bits(tinynn._erf(x)), bits(scipy_erf(x)))
 
     def test_within_one_ulp_up_to_six(self):
         x = np.concatenate([np.linspace(np.nextafter(1.0, 2.0), 6.0, 100_001),
                             rng_for(31).uniform(1.0, 6.0, 100_000)])
         for signed in (x, -x):
-            got, want = tinynn._erf(signed), erf(signed)
+            got, want = tinynn._erf(signed), scipy_erf(signed)
             assert np.all(np.sign(got) == np.sign(signed))
             assert np.abs(bits(got) - bits(want)).max() <= 1
 
@@ -141,7 +146,8 @@ class TestErf:
                             [8.0, 30.0, 1e300, np.finfo(float).max]])
         for signed in (x, -x):
             assert np.array_equal(tinynn._erf(signed), np.sign(signed))
-            assert np.array_equal(erf(signed), np.sign(signed))
+        for signed in (x, -x):
+            assert np.array_equal(scipy_erf(signed), np.sign(signed))
 
     def test_special_values(self):
         got = tinynn._erf(np.array([0.0, -0.0, np.inf, -np.inf, np.nan]))
@@ -313,12 +319,12 @@ class TestGradients:
         direct = compute_loss(Method.MULTICROP, forward(params, views), 0.5)
         assert result.total == pytest.approx(direct.total, abs=1e-15)
 
-    @pytest.mark.parametrize("tile_rows", [16, 1024])
+    @pytest.mark.parametrize("row_block", [16, 1024])
     @pytest.mark.parametrize("tau", [0.5, 1e-3])
     @pytest.mark.parametrize("method", ALL_METHODS)
-    def test_step_loss_equals_compute_loss_bitwise(self, monkeypatch, method, tau, tile_rows):
+    def test_step_loss_equals_compute_loss_bitwise(self, monkeypatch, method, tau, row_block):
         # K = 16: one view per tile, or the whole batch in one tile.
-        monkeypatch.setattr(losses, "_TILE_ROWS", tile_rows)
+        monkeypatch.setattr(losses, "_ROW_BLOCK", row_block)
         m = 2 if method is Method.INFONCE else 4
         params = init_params(rng_for(11))
         views = random_views(16, m, case=7)
@@ -366,14 +372,14 @@ class TestBatchedOracle:
     """finite_difference_grads scores its perturbed parameter sets in chunks
     on a leading set axis; the per-entry loop above is its reference."""
 
-    @pytest.mark.parametrize("tile_rows, chunk", [(1024, tinynn._FD_CHUNK), (8, 96)])
+    @pytest.mark.parametrize("row_block, chunk", [(1024, tinynn._FD_CHUNK), (8, 96)])
     @pytest.mark.parametrize("tau", [0.5, 1e-3])
     @pytest.mark.parametrize("method", ALL_METHODS)
-    def test_set_losses_equal_compute_loss(self, monkeypatch, method, tau, tile_rows, chunk):
+    def test_set_losses_equal_compute_loss(self, monkeypatch, method, tau, row_block, chunk):
         # K = 4: one tile, or tiles of two views with a mirrored, ragged one
         # at M = 3. 96 sets per chunk do not divide the 2,240 sets, and one
         # chunk holds both first- and second-layer perturbations.
-        monkeypatch.setattr(losses, "_TILE_ROWS", tile_rows)
+        monkeypatch.setattr(losses, "_ROW_BLOCK", row_block)
         monkeypatch.setattr(tinynn, "_FD_CHUNK", chunk)
         params = init_params(rng_for(18))
         views = random_views(4, 2 if method is Method.INFONCE else 3, case=8)
@@ -388,11 +394,11 @@ class TestBatchedOracle:
         for shape in ((2, 2), (4, 3)) for method in ALL_METHODS
         if method is not Method.INFONCE or shape[1] == 2])
     def test_set_losses_do_not_depend_on_pass_width(self, monkeypatch, method, shape, tau):
-        # At 8 tile rows a K = 4 kernel call has tiles of two views, one of
-        # them ragged at M = 3. The tiles run in order on this thread, as a
+        # At 8 rows a block a K = 4 kernel call has tiles of two views, one
+        # of them ragged at M = 3. The tiles run in order on this thread, as a
         # small batch's single tile does: the pool's bits are tested in
         # test_losses.py, and 2,240 one-set passes through it take twice as long.
-        monkeypatch.setattr(losses, "_TILE_ROWS", 8)
+        monkeypatch.setattr(losses, "_ROW_BLOCK", 8)
         params = init_params(rng_for(23))
         views = random_views(*shape, case=13)
         got = {}
