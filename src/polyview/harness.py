@@ -184,15 +184,20 @@ class RunRecord:
         return _csv_text(RunRow, self.rows)
 
     def write(self, path: str) -> None:
-        tmp = path + ".tmp"
-        try:
-            with open(tmp, "w", newline="") as fh:
-                fh.write(self.to_csv_text())
-            os.replace(tmp, path)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.remove(tmp)
-            raise
+        _write_whole(path, self.to_csv_text())
+
+
+def _write_whole(path: str, text: str) -> None:
+    """Replace path by text through path + ".tmp": no write leaves it partial."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def read_csv_rows(path: str) -> list[RunRow]:
@@ -410,7 +415,8 @@ def run_sweep(sweep: SweepSpec, out_dir: str) -> list[SweepResult]:
     (method, M, seed). Complete files from earlier invocations are trusted
     (runs are byte-deterministic) and skipped; failures are recorded and the
     sweep continues. A directory whose sweep.json records other shared run
-    settings is refused with ValueError before anything is written.
+    settings, or whose sweep.json or failures.json is malformed, is refused
+    with ValueError before anything is written.
 
     A failed run leaves its partial record in <run>.csv.partial, which goes
     once the run completes. failures.json lists the directory's runs whose
@@ -418,23 +424,19 @@ def run_sweep(sweep: SweepSpec, out_dir: str) -> list[SweepResult]:
     The file is absent when there are none."""
     os.makedirs(out_dir, exist_ok=True)
     config_path = os.path.join(out_dir, "sweep.json")
+    failures_path = os.path.join(out_dir, "failures.json")
     meta = sweep.to_json_dict()
     if os.path.exists(config_path):
-        with open(config_path) as fh:
-            try:
-                before = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{config_path} is not valid JSON: {exc}") from exc
+        before = _read_json(config_path, dict)
         differ = [key for key in _SHARED_SETTINGS if before.get(key) != meta[key]]
         if differ:
             raise ValueError(
                 f"{out_dir} holds runs made with other settings "
                 f"({', '.join(differ)} differ); use a fresh directory"
             )
+    failed = _read_failures(failures_path) if os.path.exists(failures_path) else {}
     meta["eval_protocol"] = "fresh held-out batches at each recorded epoch"
-    with open(config_path, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_whole(config_path, json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
     pending: list[tuple[RunSpec, str]] = []
     results: list[SweepResult] = []
@@ -466,17 +468,34 @@ def run_sweep(sweep: SweepSpec, out_dir: str) -> list[SweepResult]:
     for (spec, path), (_, status, message) in zip(pending, outcomes):
         results.append(SweepResult(spec=spec, path=path, status=status, message=message))
 
-    _record_failures(os.path.join(out_dir, "failures.json"), results)
+    _record_failures(failures_path, failed, results)
     return results
 
 
-def _record_failures(failures_path: str, results: list[SweepResult]) -> None:
-    """Update failures.json with this sweep's outcomes, and remove the
-    partial record of every run that is now complete."""
-    failed = {}
-    if os.path.exists(failures_path):
-        with open(failures_path) as fh:
-            failed = {entry["path"]: entry["message"] for entry in json.load(fh)}
+def _read_json(path: str, kind: type):
+    """The JSON value in path; ValueError naming the file unless it is a kind."""
+    with open(path) as fh:
+        try:
+            value = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(value, kind):
+        raise ValueError(f"{path} does not hold a JSON {kind.__name__}")
+    return value
+
+
+def _read_failures(failures_path: str) -> dict[str, str]:
+    """failures.json's entries as {path: message}."""
+    entries = _read_json(failures_path, list)
+    if not all(isinstance(e, dict) and set(e) == {"path", "message"}
+               and all(isinstance(v, str) for v in e.values()) for e in entries):
+        raise ValueError(f'{failures_path} is not a list of {{"path": str, "message": str}}')
+    return {e["path"]: e["message"] for e in entries}
+
+
+def _record_failures(failures_path: str, failed: dict, results: list[SweepResult]) -> None:
+    """Update failures.json, whose entries were failed before the sweep, with
+    its outcomes, and remove the partial record of every run now complete."""
     failed = {path: message for path, message in failed.items() if not os.path.exists(path)}
     for r in results:
         if r.status == "failed":
@@ -489,10 +508,8 @@ def _record_failures(failures_path: str, results: list[SweepResult]) -> None:
         with contextlib.suppress(FileNotFoundError):
             os.remove(failures_path)
         return
-    with open(failures_path, "w") as fh:
-        json.dump([{"path": path, "message": failed[path]} for path in sorted(failed)],
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    entries = [{"path": path, "message": failed[path]} for path in sorted(failed)]
+    _write_whole(failures_path, json.dumps(entries, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------

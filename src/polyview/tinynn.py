@@ -9,12 +9,11 @@ and each contrastive loss) are derived by hand and checked against the
 central finite-difference oracle in this module; no autodiff anywhere. The
 oracle scores every perturbed parameter set through the same encoder and
 loss kernel, 128 sets per pass on a leading set axis, serially in the
-calling thread. It computes the unperturbed first layer once per call: a
-pass that perturbs only w2 or b2 shares it, and a set that perturbs w1 or
-b1 recomputes only the one hidden unit it moves, in a copy. A pass frees
-its weight stacks and embeddings before its kernel pass, and the forward
-pass works in place where the bits cannot change, so the wide passes stay
-small.
+calling thread. Every pass that perturbs only w2 or b2 shares the one
+unperturbed first layer; a pass that perturbs w1 or b1 runs the first layer
+on its weight stacks. A pass frees its weight stacks and embeddings before
+its kernel pass, and the forward pass works in place where the bits cannot
+change, so the wide passes stay small.
 
 A training step (loss_and_grads) holds, through both kernel passes, the
 first layer's inputs x and activations a1, the norms of h2, and one copy of
@@ -352,6 +351,8 @@ def finite_difference_grads(
     one loss-kernel pass, and a group that perturbs only the second layer
     shares one first layer. Meant for small batches only.
     """
+    if not 0 < h < math.inf:
+        raise ValueError(f"h must be positive and finite, got {h}")
     # One unperturbed evaluation checks the views, method and tau as the
     # first evaluation of a per-entry loop would.
     compute_loss(method, forward(params, views), tau)
@@ -369,7 +370,8 @@ def _perturbed_losses(base: dict, views, method: Method, tau: float, h: float) -
     """Losses of the parameter sets that perturb flat entry j (w1, b1, w2, b2
     in order) by +h (set 2j) and -h (set 2j + 1), _FD_CHUNK sets per pass.
 
-    The unperturbed first layer is computed once and shared by every pass.
+    The unperturbed first layer is computed once and shared by every pass
+    that stacks neither w1 nor b1; the others run it on their own stacks.
     """
     offsets = np.cumsum([0] + [base[name].size for name in _PARAM_FIELDS])
     n_sets = 2 * int(offsets[-1])
@@ -380,11 +382,13 @@ def _perturbed_losses(base: dict, views, method: Method, tau: float, h: float) -
     for first in range(0, n_sets, _FD_CHUNK):
         sets = np.arange(first, min(first + _FD_CHUNK, n_sets))
         entry, step = sets // 2, np.where(sets % 2 == 0, h, -h)
-        # The stacks die with the call, and z once zt holds its copy: the
-        # kernel pass holds neither.
-        z = _second_layer(_perturbed_first_layer(a1, x, base, offsets, entry, step),
-                          **_perturbed_second_layer(base, offsets, entry, step),
-                          shape=views.shape)[1]
+        w = _perturbed(base, offsets, entry, step)
+        moved = w["w1"] is not base["w1"] or w["b1"] is not base["b1"]
+        z = _second_layer(gelu(_hidden(x, w["w1"], w["b1"])) if moved else a1,
+                          w["w2"], w["b2"], views.shape)[1]
+        # The stacks die here, and z once zt holds its copy: the kernel pass
+        # holds neither.
+        del w
         # EmbeddingBatch checks each row, so one batch of every set's samples
         # checks the whole pass.
         EmbeddingBatch(z=z.reshape(-1, *z.shape[-2:]))
@@ -394,36 +398,12 @@ def _perturbed_losses(base: dict, views, method: Method, tau: float, h: float) -
     return losses
 
 
-def _perturbed_first_layer(a1: np.ndarray, x: np.ndarray, base: dict, offsets: np.ndarray,
-                           entry: np.ndarray, step: np.ndarray) -> np.ndarray:
-    """The first layer's activations of the sets that move flat entry
-    entry[s] by step[s]: a1 itself if no set moves w1 or b1, else a stack
-    of copies of a1 in which each such set recomputes the one hidden unit it
-    moves. With one input, unit j of x w1^T + b1 is x w1[j] + b1[j]
-    entrywise, so the bits are those of the whole layer."""
-    hit = np.flatnonzero(entry < offsets[2])
-    if hit.size == 0:
-        return a1
-    flat, step = entry[hit], step[hit]
-    in_w1 = flat < offsets[1]
-    unit = np.where(in_w1, flat, flat - offsets[1])
-    w, b = base["w1"][unit, 0], base["b1"][unit]
-    w[in_w1] += step[in_w1]
-    b[~in_w1] += step[~in_w1]
-    h1 = x.T * w[:, None]
-    h1 += b[:, None]
-    stack = np.repeat(a1[None], entry.size, axis=0)
-    stack[hit, :, unit] = gelu(h1)
-    return stack
-
-
-def _perturbed_second_layer(base: dict, offsets: np.ndarray, entry: np.ndarray,
-                            step: np.ndarray) -> dict:
-    """w2 and b2 of the sets that move flat entry entry[s] by step[s]: a
-    tensor that some set moves as a stack on a leading set axis (b2 as
-    (S, 1, n)), else base's."""
+def _perturbed(base: dict, offsets: np.ndarray, entry: np.ndarray, step: np.ndarray) -> dict:
+    """w1, b1, w2 and b2 of the sets that move flat entry entry[s] by
+    step[s]: a tensor that some set moves as a stack on a leading set axis
+    (a bias as (S, 1, n)), else base's own array."""
     weights = {}
-    for name, lo, hi in zip(_PARAM_FIELDS[2:], offsets[2:-1], offsets[3:]):
+    for name, lo, hi in zip(_PARAM_FIELDS, offsets[:-1], offsets[1:]):
         hit = np.flatnonzero((entry >= lo) & (entry < hi))
         if hit.size == 0:
             weights[name] = base[name]

@@ -265,6 +265,19 @@ class TestSweep:
         assert main(["sweep", "--config", str(bad), "--out", str(tmp_path)]) == 1
         assert "not valid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ['[{"path": "x", "mess', "[{}]", '{"a": 1}'],
+                             ids=["truncated", "empty-entry", "object"])
+    def test_malformed_failures_json_is_refused(self, tmp_path, capsys, sweep_config, text):
+        config_path, _ = sweep_config
+        out = tmp_path / "runs"
+        out.mkdir()
+        (out / "failures.json").write_text(text)
+        assert main(["sweep", "--config", str(config_path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {out / 'failures.json'} ")
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert os.listdir(out) == ["failures.json"]
+
     def test_unknown_config_key(self, tmp_path, capsys, sweep_config):
         config_path, config = sweep_config
         config["mystery"] = True

@@ -496,6 +496,59 @@ class TestRunSweep:
             run_sweep(sweep, str(tmp_path))
         assert os.listdir(tmp_path) == ["sweep.json"]
 
+    def test_sweep_json_that_is_not_an_object_is_refused(self, tmp_path):
+        (tmp_path / "sweep.json").write_text("[1]\n")
+        sweep = SweepSpec(methods=(Method.MULTICROP,), m_values=(2,), seeds=(0,), k=8,
+                          train=TrainConfig(epochs=1), eval_batches=1)
+        with pytest.raises(ValueError, match="sweep.json does not hold a JSON dict"):
+            run_sweep(sweep, str(tmp_path))
+        assert os.listdir(tmp_path) == ["sweep.json"]
+
+    @pytest.mark.parametrize("text, match", [
+        ('[{"path": "x", "mess', "is not valid JSON"),
+        ("[{}]", "is not a list of"),
+        ('[{"path": "x", "message": 3}]', "is not a list of"),
+        ('{"a": 1}', "does not hold a JSON list"),
+    ], ids=["truncated", "empty-entry", "non-string", "object"])
+    def test_malformed_failures_json_is_refused_before_any_run(self, tmp_path, text, match):
+        (tmp_path / "failures.json").write_text(text)
+        sweep = SweepSpec(methods=(Method.MULTICROP,), m_values=(2,), seeds=(0,), k=8,
+                          train=TrainConfig(epochs=1), eval_batches=1)
+        with pytest.raises(ValueError, match=f"^{tmp_path / 'failures.json'} {match}"):
+            run_sweep(sweep, str(tmp_path))
+        assert os.listdir(tmp_path) == ["failures.json"]
+
+    def test_whole_file_write_keeps_the_old_file_on_failure(self, tmp_path):
+        path = tmp_path / "failures.json"
+        path.write_text("[]\n")
+        with pytest.raises(TypeError):
+            harness._write_whole(str(path), None)
+        assert path.read_text() == "[]\n"
+        assert os.listdir(tmp_path) == ["failures.json"]
+
+    def test_sweep_writes_every_file_whole(self, tmp_path, monkeypatch):
+        # The run CSVs, partial records, sweep.json and failures.json all go
+        # through one .tmp + os.replace helper.
+        written, write_whole, train = [], harness._write_whole, harness.run_training
+
+        def recorded(path, text):
+            written.append(os.path.basename(path))
+            write_whole(path, text)
+
+        def fail_geometric(spec):
+            if spec.method is Method.GEOMETRIC_PVC:
+                self.failing_training(spec)
+            return train(spec)
+
+        monkeypatch.setattr(harness, "_write_whole", recorded)
+        monkeypatch.setattr(harness, "run_training", fail_geometric)
+        sweep = SweepSpec(methods=(Method.GEOMETRIC_PVC, Method.MULTICROP), m_values=(2,),
+                          seeds=(0,), k=8, train=TrainConfig(epochs=1), eval_batches=1)
+        assert [r.status for r in run_sweep(sweep, str(tmp_path))] == ["failed", "ran"]
+        assert written == ["sweep.json", "geometric_m02_seed0000.csv.partial",
+                           "multicrop_m02_seed0000.csv", "failures.json"]
+        assert sorted(os.listdir(tmp_path)) == sorted(written)
+
     def test_jobs_do_not_change_bytes(self, tmp_path):
         sweep = SweepSpec(methods=(Method.SUFFSTATS, Method.MULTICROP), m_values=(3,),
                           seeds=(0,), k=8, train=TrainConfig(epochs=2), eval_batches=1)

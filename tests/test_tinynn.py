@@ -386,7 +386,7 @@ class TestBatchedOracle:
         want = []
         loop_finite_difference_grads(params, views, method, tau, set_losses=want)
         got = tinynn._perturbed_losses(params.as_dict(), views, method, tau, 1e-6)
-        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+        np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("tau", [0.5, 1e-3])
     @pytest.mark.parametrize("method, shape", [
@@ -410,27 +410,38 @@ class TestBatchedOracle:
             assert np.array_equal(set_losses, got[1]), chunk
 
     @pytest.mark.parametrize("h", [1e-6, 0.25])
-    def test_shared_first_layer_keeps_the_bits(self, h):
-        # A set that moves w1[j] or b1[j] recomputes only hidden unit j of
-        # the shared layer: the bits of the whole layer at its weights.
+    def test_perturbed_stacks_only_what_a_pass_moves(self, h):
+        # A tensor that some set of a pass moves comes back as one perturbed
+        # copy per set on a leading axis (a bias as (S, 1, n)); any other is
+        # base's own array, so a pass that moves neither w1 nor b1 shares a1.
         base = init_params(rng_for(25)).as_dict()
-        x = random_views(4, 3, case=15).reshape(-1, D_IN)
         offsets = np.cumsum([0] + [base[name].size for name in PARAM_NAMES])
-        sets = np.arange(160)  # w1, b1, then the first w2 entries
+        sets = np.arange(2 * offsets[-1])
         entry, step = sets // 2, np.where(sets % 2 == 0, h, -h)
-        w1 = np.repeat(base["w1"][None], sets.size, axis=0)
-        b1 = np.repeat(base["b1"][None, None], sets.size, axis=0)
-        for s in range(128):
-            if entry[s] < 32:
-                w1[s, entry[s], 0] += step[s]
-            else:
-                b1[s, 0, entry[s] - 32] += step[s]
-        want = gelu(x @ np.swapaxes(w1, -1, -2) + b1)
-        a1 = gelu(tinynn._hidden(x, base["w1"], base["b1"]))
-        got = tinynn._perturbed_first_layer(a1, x, base, offsets, entry, step)
-        assert np.array_equal(bits(got), bits(want))
-        second = tinynn._perturbed_first_layer(a1, x, base, offsets, entry[128:], step[128:])
-        assert second is a1
+        # w1 and b1; b1 and w2; w2 alone; w2 and b2.
+        for lo, hi in ((0, 128), (120, 136), (128, 256), (2170, 2240)):
+            got = tinynn._perturbed(base, offsets, entry[lo:hi], step[lo:hi])
+            for name, first, last in zip(PARAM_NAMES, offsets[:-1], offsets[1:]):
+                moved = (entry[lo:hi] >= first) & (entry[lo:hi] < last)
+                if not moved.any():
+                    assert got[name] is base[name], (lo, name)
+                    continue
+                want = np.repeat(base[name][None], hi - lo, axis=0)
+                for s in np.flatnonzero(moved):
+                    want[s].reshape(-1)[entry[lo + s] - first] += step[lo + s]
+                want = want.reshape(hi - lo, -1, base[name].shape[-1])
+                assert np.array_equal(bits(got[name]), bits(want)), (lo, name)
+
+    @pytest.mark.parametrize("h", [0.0, -1e-6, float("nan"), float("inf")])
+    def test_step_must_be_positive_and_finite(self, monkeypatch, h):
+        # Refused before the oracle evaluates anything.
+        def no_forward(*args):
+            raise AssertionError("evaluated before checking h")
+
+        monkeypatch.setattr(tinynn, "forward", no_forward)
+        with pytest.raises(ValueError, match=r"^h must be positive and finite, got"):
+            finite_difference_grads(init_params(rng_for(21)), random_views(3, 2, case=11),
+                                    Method.MULTICROP, 0.5, h=h)
 
     def test_peak_memory_of_one_call(self):
         # tracemalloc sees numpy's buffers. This call peaked at 2.18 MiB with
