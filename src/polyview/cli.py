@@ -5,6 +5,7 @@ Subcommands:
   train         one seeded training run, CSV out
   sweep         methods x M x seeds cross product from a JSON config
   report        aggregate a sweep directory into a summary table
+  fingerprint   digest one training step per M-view method and M in {4, 10}
   variance      multi-crop vs pair-loss variance ratio study
   validity      M-view gap vs mean two-view gap study
   check         run a self-check suite (oracles | grads | identities | invariants)
@@ -34,6 +35,7 @@ from .harness import (
     SweepSpec,
     aggregate,
     run_sweep,
+    write_fingerprint,
     run_training,
     validity_study,
     variance_study,
@@ -92,6 +94,9 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("report", help="aggregate a sweep directory")
     p.add_argument("--in", dest="in_dir", required=True)
+    p.add_argument("--out", required=True)
+
+    p = sub.add_parser("fingerprint", help="digest the training steps of fig3's settings")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("variance", help="multi-crop variance ratio study")
@@ -204,6 +209,14 @@ def _cmd_report(args) -> int:
     return 0
 
 
+def _cmd_fingerprint(args) -> int:
+    if not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise _UsageError(f"fingerprint: the directory of --out {args.out} does not exist")
+    fingerprint = write_fingerprint(args.out)
+    print(f"wrote {args.out} ({len(fingerprint['digests'])} step digests)")
+    return 0
+
+
 def _cmd_variance(args) -> int:
     report = variance_study(_run_spec(args, Method.MULTICROP), args.batches)
     for line in report.lines():
@@ -241,6 +254,7 @@ def main(argv: list[str] | None = None) -> int:
             "train": _cmd_train,
             "sweep": _cmd_sweep,
             "report": _cmd_report,
+            "fingerprint": _cmd_fingerprint,
             "variance": _cmd_variance,
             "validity": _cmd_validity,
             "check": _cmd_check,

@@ -20,6 +20,13 @@ bound/gap columns are derived from that average.
 The batches of an evaluation row or a study are independent: each is one
 task of losses._map_batches, which may run them on the tile pool, and their
 values are reduced in batch order, so no output depends on the thread count.
+
+A fingerprint file beside the fig3 runs holds the sha256 digests of one
+training step per M-view method at M = 4 and 10 (step_digests): a change
+that moves any bit of a step, in any epoch's arithmetic, changes a digest,
+where the CSVs' epoch-0 rows show only the loss-only path. A sweep opens
+only its own runs' files and its two state files, and aggregate only *.csv,
+so both pass the fingerprint by.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ import csv
 import json
 import math
 import os
+import platform
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields
@@ -607,6 +615,58 @@ def aggregate(in_dir: str) -> AggregateTable:
 # ---------------------------------------------------------------------------
 # Variance and validity studies
 # ---------------------------------------------------------------------------
+
+
+FINGERPRINT_NAME = "fingerprint.json"
+_FINGERPRINT_M = (4, 10)
+
+
+def step_digests() -> dict[str, str]:
+    """sha256 digests of the first training step of seed 0 for each M-view
+    method at each M of _FINGERPRINT_M, at RunSpec's defaults (fig3's K,
+    tau, variances and optimizer), keyed like the run files, e.g.
+    "geometric_m10": over the step's gradients, the AdamW-updated parameters
+    and compute_loss's per-sample losses at them on the step's batch."""
+    # Imported here: hashlib loads OpenSSL, 3.7 MiB of RSS that no run needs.
+    import hashlib
+
+    digests = {}
+    for method in Method:
+        for m in _FINGERPRINT_M if method is not Method.INFONCE else ():
+            spec = RunSpec(method=method, m=m)
+            params = init_params(streams.stream(spec.seed, streams.INIT))
+            views = sample_batch(spec.gaussian(),
+                                 streams.stream(spec.seed, streams.TRAIN_BATCH, a=1)).views
+            _, grads = loss_and_grads(params, views, method, spec.tau)
+            params, _ = adamw_step(params, grads, AdamWState.initial(), spec.train)
+            loss = compute_loss(method, forward(params, views), spec.tau)
+            digest = hashlib.sha256()
+            for array in (*grads.as_dict().values(), *params.as_dict().values(),
+                          loss.per_sample):
+                digest.update(array.tobytes())
+            digests[f"{method.value}_m{m:02d}"] = digest.hexdigest()
+    return digests
+
+
+def machine() -> dict:
+    """What a step's bits depend on besides the code: numpy's version, its
+    BLAS build and the CPU, with the core count."""
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    cpu = platform.machine()
+    with contextlib.suppress(OSError):
+        with open("/proc/cpuinfo") as fh:
+            cpu = next((line.split(":", 1)[1].strip() for line in fh
+                        if line.startswith("model name")), cpu)
+    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas.get('version', '')}".strip(),
+            "cpu": cpu, "nproc": os.cpu_count()}
+
+
+def write_fingerprint(path: str) -> dict:
+    """Write {"machine": machine(), "digests": step_digests()} to path as
+    JSON, whole, and return it."""
+    fingerprint = {"machine": machine(), "digests": step_digests()}
+    _write_whole(path, json.dumps(fingerprint, indent=2, sort_keys=True) + "\n")
+    return fingerprint
 
 
 @dataclass(frozen=True)

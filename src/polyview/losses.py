@@ -33,15 +33,18 @@ Tiles and blocks: one constant, _ROW_BLOCK, sizes both. A tile is a group
 of whole views holding at most _ROW_BLOCK rows, which runs as one block, or
 a single view, which runs in blocks of at most _ROW_BLOCK rows in row
 order; so no K x K tile is ever held whole. A block is a range of rows of
-every anchor view of its tile. Row sums, row maxima and a row's anchor-role
-products are whole rows in any block. A mirrored tile's column sums in
+every anchor view of its tile. Row sums, row maxima and a row's pass-2
+product are whole rows in any block. A mirrored tile's column sums in
 pass 1 are added down each anchor view's rows one by one, as one sum over
 the view's rows adds them: a view split over blocks carries its running sum
 in the row in front of each later block's scores, so pass 1 has the bits of
-unsplit views. Pass 2's candidate-role product E^T @ [z_a | g * z_a] has
-the block's rows as its inner dimension, so a split view sums it over its
-blocks in block order, which rounds otherwise than one GEMM over all rows
-(at K = 1024, by at most 2.5e-16 of the largest entry).
+unsplit views. Pass 2 weighs each block's exp scores E by the gradient's
+coefficients, W = E * (c_rows + c_cols^T) (by c_rows alone where the tile is
+one-sided), and takes every term from two d-wide products: W @ C for the
+rows and, in a mirrored or one-sided tile, W^T @ A_block for the columns.
+The latter has the block's rows as its inner dimension, so a split view sums
+it over its blocks in block order, which rounds otherwise than one GEMM over
+all rows (at K = 1024, by at most 2.5e-16 of the largest entry).
 
 Threads: one ordered map, `_ordered_map`, runs two kinds of work on one
 pool of threads: the view tiles of a kernel call (in pass 1 a tile's
@@ -81,13 +84,13 @@ shift limit, which pass 2 reads too. The folded rows die with pass 1, so
 the per-target arrays made from its sums reuse their memory, and those die
 before pass 2, which holds the negative-score coefficients (Ma, K, Mc),
 the gradients and the increments of at most twice the pool's width of
-tiles. A pass-1 slot holds one block's scores behind one carried row. A
-pass-2 slot holds the tile's folded rows and, in a symmetric tile, the
-anchor role's operand [C_b | g * C_b], folded once per tile; then one
-block's scores, its other GEMM operand, its products, and a later block's
-candidate-role increments. At K = 1024, M = 10 and 128-row blocks each copy
-of the embeddings is 2.5 MiB, a slot 1.0 MiB in pass 1 and 3.1 MiB in
-pass 2.
+tiles: (va, K, d) for a tile's rows and (vb, K, d) for its columns. A
+pass-1 slot holds one block's scores behind one carried row. A pass-2 slot
+holds the tile's folded rows, then one block's weighted scores W, the
+weights of _WEIGHT_ROWS rows of a symmetric tile, and a later block's
+column increments. At K = 1024, M = 10 and 128-row blocks each copy of the
+embeddings is 2.5 MiB, a slot 1.0 MiB in pass 1 and 2.0 MiB in pass 2, and
+a tile's increments 0.5 MiB.
 """
 
 from __future__ import annotations
@@ -118,6 +121,9 @@ _SHIFT_LIMIT = 700.0
 # A tile holds whole views of at most this many rows, or one view that runs
 # in blocks of at most this many anchor rows.
 _ROW_BLOCK = 128
+# Pass 2 weighs a symmetric tile's scores this many rows at a time, so its
+# weights take a quarter of a 128-row block's memory, not the whole block's.
+_WEIGHT_ROWS = 32
 # The tile pool as (width, executor or None), made at the first map with several items.
 _pool = None
 _pool_lock = threading.Lock()
@@ -455,66 +461,64 @@ def _candidate_set_loss(anchors, cands, tau, others, log_mean_exp, per_view, wan
     if not want_grad:
         return per_sample, None, None
 
-    # Pass 2: recompute each tile, block by block. A block's rows take their
-    # anchor role, and in a symmetric tile their candidate role too, from
-    # E_ab @ [C_b | g * C_b]. The anchor role of a block's rows is whole; the
-    # candidate role of a tile's columns is a sum over its blocks, added in
-    # block order. A tile folds its candidate and anchor rows, and in a
-    # symmetric tile the operand [C_b | g * C_b], into the front of its slot,
-    # and each block makes its scores and GEMM operands behind them. A tile
-    # writes its increments (gradient, first view, last view + 1, value) into
-    # memory that the calling thread takes as it submits the tile, and they
-    # are added in tile order.
-    w, n_c = (2 * d, 2) if symmetric else (d, 1)
-
+    # Pass 2: recompute each tile, block by block, as one weighted tile
+    # W = E * (c_rows + c_cols^T), where c_rows[a, i, b] weighs anchor row
+    # (a, i) against candidate view b and c_cols[b, j, a] the mirrored pair; a
+    # one-sided tile has no mirrored pair and weighs by c_rows alone. A
+    # block's rows take their terms from W @ C_b, whole in any block; a
+    # mirrored or one-sided tile's columns take theirs from W^T @ A_block,
+    # which a split tile sums over its blocks in block order. A tile folds
+    # its candidate and anchor rows into the front of its slot, and each
+    # block makes W behind them. A tile writes its increments (gradient,
+    # first view, last view + 1, value) into memory that the calling thread
+    # takes as it submits the tile, and they are added in tile order.
     def increment_shapes(tile):
-        # The anchor role's increments, and the candidate role's if any.
+        # The rows' increments, and the columns' if any.
         va, vb = tile[1] - tile[0], tile[3] - tile[2]
-        return (n_c, va, k, d), (n_c if tile[4] or not symmetric else 0, vb, k, d)
+        return (va, k, d), (vb if tile[4] or not symmetric else 0, k, d)
 
     def increment_memory(tile):
         return tile, np.empty(sum(map(math.prod, increment_shapes(tile))))
 
     def block_arrays(tile, n):
-        # The tile's folded candidate and anchor rows and symmetric operand;
-        # behind them an n-row block's scores, the anchor role's product, the
-        # candidate role's operand and product, and a later block's
-        # candidate-role increments.
+        # The tile's folded candidate and anchor rows; behind them an n-row
+        # block's weighted scores, the weights of a symmetric tile, and a
+        # later block's column increments.
         va, vb = tile[1] - tile[0], tile[3] - tile[2]
-        return ((vb * k, d + 1), (va, k, d + 1), (va, vb, k, w * symmetric),
-                (va * n, vb * k), (va, vb, n, w), (vb, va, n, w), (vb, va, k, w), (n_c, vb, k, d))
+        later = increment_shapes(tile)[1] if len(tile[5]) > 1 else (0,)
+        return ((vb * k, d + 1), (va, k, d + 1), (va * n, vb * k),
+                (min(n, _WEIGHT_ROWS) * symmetric, vb, k), later)
 
     def tile_increments(item, buffer):
         tile, memory = item
-        a0, a1, b0, b1, mirrored, blocks = tile
+        a0, a1, b0, b1, _, blocks = tile
+        va, vb = a1 - a0, b1 - b0
         inc_a, inc_c = _carve(memory, *increment_shapes(tile))
-        zb, c_cols = cands[b0:b1], coeff[b0:b1, :, a0:a1]
-        c_hat, a_hat, rhs_a = _carve(buffer, *block_arrays(tile, 0)[:3])
+        zb = cands[b0:b1].reshape(vb * k, d)
+        c_cols = coeff[b0:b1, :, a0:a1].transpose(2, 0, 1)
+        c_hat, a_hat = _carve(buffer, *block_arrays(tile, 0)[:2])
         _hat(zb, None, c_hat)
         _hat(anchors[a0:a1], 1.0 / tau, a_hat.reshape(-1, d + 1))
-        rhs_a = _stack_rhs(zb, c_cols, rhs_a) if symmetric else zb
         for j, block in enumerate(blocks):
             i0, i1, _ = block
-            s, out_a, rhs_c, out_c, later = _carve(buffer, *block_arrays(tile, i1 - i0))[3:]
+            s, weights, later = _carve(buffer, *block_arrays(tile, i1 - i0))[2:]
             e = _exp_tile(a_hat[:, i0:i1].reshape(-1, d + 1), c_hat, k, tile, block, shift,
                           False, s)
-            c_rows = coeff[a0:a1, i0:i1, b0:b1]
-            part = inc_a[:, :, i0:i1]
-            np.matmul(e.transpose(0, 2, 1, 3), rhs_a, out=out_a)
-            np.einsum("aib,abid->aid", c_rows, out_a[..., :d], out=part[0])
-            if symmetric:
-                out_a[..., d:].sum(axis=1, out=part[1])
-                if not mirrored:
-                    continue
-            sums = inc_c if j == 0 else later
-            np.matmul(e.transpose(2, 0, 3, 1), _stack_rhs(anchors[a0:a1, i0:i1], c_rows, rhs_c),
-                      out=out_c)
-            if symmetric:
-                np.einsum("bja,bajd->bjd", c_cols, out_c[..., :d], out=sums[0])
-            out_c[..., -d:].sum(axis=1, out=sums[-1])
-            if j > 0:
-                inc_c += later
-        return [(grad_a, a0, a1, inc) for inc in inc_a] + [(grad_c, b0, b1, inc) for inc in inc_c]
+            c_rows = coeff[a0:a1, i0:i1, b0:b1, None]
+            if not symmetric:
+                e *= c_rows
+            for a in range(va * symmetric):
+                for r0 in range(0, i1 - i0, _WEIGHT_ROWS):
+                    rows = e[a, r0:r0 + _WEIGHT_ROWS]
+                    rows *= np.add(c_rows[a, r0:r0 + _WEIGHT_ROWS], c_cols[a],
+                                   out=weights[:len(rows)])
+            np.matmul(s.reshape(va, i1 - i0, vb * k), zb, out=inc_a[:, i0:i1])
+            if inc_c.size:
+                np.matmul(s.T, anchors[a0:a1, i0:i1].reshape(-1, d),
+                          out=(inc_c if j == 0 else later).reshape(vb * k, d))
+                if j > 0:
+                    inc_c += later
+        return [(grad_a, a0, a1, inc_a)] + [(grad_c, b0, b1, inc_c)] * bool(inc_c.size)
 
     slot = max(sum(map(math.prod, block_arrays(tile, i1 - i0)))
                for tile in tiles for i0, i1, _ in tile[5])
@@ -610,17 +614,6 @@ def _pass_one(anchors, cands, tau, tiles, gather, shift):
     # Positives straight from the shifted scores: (K, Ma, Mc) per-sample GEMMs.
     same = a_hat.swapaxes(-3, -2) @ np.moveaxis(c_hat.reshape(*lead, mc, k, -1), -3, -1)
     return np.take(same.swapaxes(-3, -2).reshape(*lead, -1), gather, -1), neg
-
-
-def _stack_rhs(rows, coeff, out):
-    """[rows | coeff * rows] per sub-block, written into out: rows (v, K, d),
-    coeff (v, K, u), out (u, v, K, 2d); an out (u, v, K, d) takes coeff * rows
-    alone."""
-    d = rows.shape[-1]
-    if out.shape[-1] > d:
-        out[..., :d] = rows
-    np.multiply(coeff.transpose(2, 0, 1)[..., None], rows, out=out[..., -d:])
-    return out
 
 
 # ---------------------------------------------------------------------------

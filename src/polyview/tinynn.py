@@ -15,13 +15,16 @@ on its weight stacks. A pass frees its weight stacks and embeddings before
 its kernel pass, and the forward pass works in place where the bits cannot
 change, so the wide passes stay small.
 
-A training step (loss_and_grads) holds, through both kernel passes, the
-first layer's inputs x and activations a1, the norms of h2, and one copy of
-the embeddings: the view-major one that the kernel scores. The
-sample-major z dies once copied, and h1 is recomputed for the GeLU
-derivative rather than held. The embedding gradient becomes dh2 in its own
-memory, row by row and still view-major, and is transposed to sample-major
-once, for the sums over rows, whose order fixes their bits.
+The first layer runs in row chunks of _ERF_BLOCK entries written into one
+array, so its temporaries stay small. A training step (loss_and_grads)
+holds, through both kernel passes, the first layer's inputs x, the norms of
+h2, and one copy of the embeddings: the view-major one that the kernel
+scores. The activations a1 die once h2 is formed, and the sample-major z
+once copied. The embedding gradient becomes dh2 in its own memory, row by
+row and still view-major, and is transposed to sample-major once, for the
+sums over rows, whose order fixes their bits. The backward pass then forms
+da1 = dh2 w2 and runs the first layer again, chunk by chunk: one erf gives
+a chunk of a1 and the GeLU derivative that turns da1 into dh1 in place.
 
 Everything is float64 and functional: forward, loss_and_grads and adamw_step
 take and return immutable dataclasses, so equal inputs give bit-equal outputs.
@@ -253,13 +256,43 @@ def gelu_grad(x: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + _erf(x * _INV_SQRT2)) + x * phi
 
 
+def _gelu_and_grad(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """gelu(x) and gelu_grad(x) from one erf, each with its function's bits:
+    a sum or product that swaps its operands rounds the same."""
+    one_plus = _erf(x * _INV_SQRT2)
+    one_plus += 1.0
+    grad = 0.5 * one_plus
+    grad += x * (_INV_SQRT2PI * np.exp(-0.5 * x * x))
+    one_plus *= 0.5 * x
+    return one_plus, grad
+
+
+def _first_layer(x: np.ndarray, w1, b1, dh1: np.ndarray | None = None) -> np.ndarray:
+    """a1 = gelu(x w1^T + b1), in row chunks of _ERF_BLOCK entries written into
+    one array; every step is elementwise or one product per entry, so the bits
+    are those of one pass. The weights may carry a leading parameter-set axis.
+    Given the gradient w.r.t. a1, dh1, each chunk multiplies it in place by
+    the GeLU derivative taken from the same erf, turning it into the
+    gradient w.r.t. h1."""
+    rows = _ERF_BLOCK // D_HIDDEN
+    a1 = np.empty(np.broadcast_shapes(w1.shape[:-2], b1.shape[:-2]) + (len(x), D_HIDDEN))
+    for lo in range(0, len(x), rows):
+        h1 = _hidden(x[lo:lo + rows], w1, b1)
+        if dh1 is None:
+            a1[..., lo:lo + rows, :] = gelu(h1)
+        else:
+            a1[..., lo:lo + rows, :], grad = _gelu_and_grad(h1)
+            dh1[lo:lo + rows] *= grad
+    return a1
+
+
 def _forward_trace(views: np.ndarray, w1, b1, w2, b2):
-    """Forward pass keeping the intermediates the backward pass needs:
-    x, a1, the norms of h2 and z = h2 / norms, which takes h2's memory."""
+    """Forward pass keeping what the backward pass needs: x, the norms of h2
+    and z = h2 / norms, which takes h2's memory. The first layer's
+    activations die once h2 is formed."""
     views = _checked_views(views)
     x = views.reshape(-1, D_IN)
-    a1 = gelu(_hidden(x, w1, b1))
-    return (x, a1, *_second_layer(a1, w2, b2, views.shape))
+    return (x, *_second_layer(_first_layer(x, w1, b1), w2, b2, views.shape))
 
 
 def _checked_views(views) -> np.ndarray:
@@ -312,7 +345,7 @@ def loss_and_grads(
 ) -> tuple[LossResult, MlpParams]:
     """One fused pass: compute_loss(method, forward(params, views), tau) plus
     its exact gradient with respect to every parameter, in MlpParams shape."""
-    x, a1, norms, z = _forward_trace(views, **params.as_dict())
+    x, norms, z = _forward_trace(views, **params.as_dict())
     # The kernel scores the view-major copy; z dies before it runs.
     zt = _view_major(method, EmbeddingBatch(z=z), tau)
     del z
@@ -325,10 +358,12 @@ def loss_and_grads(
     dh2 = dz.transpose(1, 0, 2).reshape(-1, D_OUT)
     del zt, dz
 
+    # The first layer runs again, chunk by chunk, for a1 and for its
+    # derivative, which turns da1 into dh1 in place.
+    dh1 = dh2 @ params.w2
+    a1 = _first_layer(x, params.w1, params.b1, dh1)
     dw2 = dh2.T @ a1
     db2 = dh2.sum(axis=0)
-    da1 = dh2 @ params.w2
-    dh1 = da1 * gelu_grad(_hidden(x, params.w1, params.b1))
     dw1 = dh1.T @ x
     db1 = dh1.sum(axis=0)
     return LossResult.from_per_sample(per_sample), MlpParams(w1=dw1, b1=db1, w2=dw2, b2=db2)
@@ -377,14 +412,14 @@ def _perturbed_losses(base: dict, views, method: Method, tau: float, h: float) -
     n_sets = 2 * int(offsets[-1])
     views = _checked_views(views)
     x = views.reshape(-1, D_IN)
-    a1 = gelu(_hidden(x, base["w1"], base["b1"]))
+    a1 = _first_layer(x, base["w1"], base["b1"])
     losses = np.empty(n_sets)
     for first in range(0, n_sets, _FD_CHUNK):
         sets = np.arange(first, min(first + _FD_CHUNK, n_sets))
         entry, step = sets // 2, np.where(sets % 2 == 0, h, -h)
         w = _perturbed(base, offsets, entry, step)
         moved = w["w1"] is not base["w1"] or w["b1"] is not base["b1"]
-        z = _second_layer(gelu(_hidden(x, w["w1"], w["b1"])) if moved else a1,
+        z = _second_layer(_first_layer(x, w["w1"], w["b1"]) if moved else a1,
                           w["w2"], w["b2"], views.shape)[1]
         # The stacks die here, and z once zt holds its copy: the kernel pass
         # holds neither.

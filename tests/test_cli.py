@@ -386,6 +386,31 @@ class TestReport:
         assert "no run CSV files" in capsys.readouterr().err
 
 
+class TestFingerprint:
+    def test_writes_digests_and_machine(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(harness, "step_digests", lambda: {"geometric_m10": "ab" * 32})
+        out = tmp_path / "fingerprint.json"
+        assert main(["fingerprint", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote {out} (1 step digests)\n"
+        written = json.loads(out.read_text())
+        assert written["digests"] == {"geometric_m10": "ab" * 32}
+        assert set(written["machine"]) == {"numpy", "blas", "cpu", "nproc"}
+
+    def test_missing_directory_refused(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "fingerprint.json"
+        assert main(["fingerprint", "--out", str(out)]) == 1
+        assert "does not exist" in capsys.readouterr().err
+        assert not out.parent.exists()
+
+    def test_report_passes_the_fingerprint_by(self, tmp_path, capsys, fake_runs):
+        without = tmp_path / "without.csv"
+        assert main(["report", "--in", str(fake_runs), "--out", str(without)]) == 0
+        (fake_runs / "fingerprint.json").write_text('{"machine": {}, "digests": {}}')
+        beside = tmp_path / "beside.csv"
+        assert main(["report", "--in", str(fake_runs), "--out", str(beside)]) == 0
+        assert beside.read_bytes() == without.read_bytes()
+
+
 class TestStudies:
     def test_variance_study_output(self, capsys):
         assert main(["variance", "--m", "3", "--k", "64", "--batches", "32"]) == 0

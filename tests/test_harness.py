@@ -29,11 +29,14 @@ from polyview.harness import (
     RunRow,
     RunSpec,
     SweepSpec,
+    FINGERPRINT_NAME,
     aggregate,
+    machine,
     read_csv_rows,
     run_path,
     run_sweep,
     run_training,
+    step_digests,
     validity_study,
     variance_study,
 )
@@ -299,6 +302,20 @@ class TestCommittedBytes:
         assert table.to_csv_text().encode() == summary.with_suffix(".csv").read_bytes()
         assert table.to_gnuplot_text().encode() == summary.with_suffix(".dat").read_bytes()
 
+    def test_fingerprint_matches_the_code(self):
+        # Eight K = 1024 training steps, about 4 s. The epoch-0 guard of the
+        # acceptance tests sees only loss-only evaluations of M = 2 runs.
+        with open(FIG3 / FINGERPRINT_NAME) as fh:
+            committed = json.load(fh)
+        got = step_digests()
+        moved = sorted(name for name in got.keys() | committed["digests"].keys()
+                       if got.get(name) != committed["digests"].get(name))
+        assert not moved, (
+            f"the training steps {moved} no longer have the digests of "
+            f"results/fig3/{FINGERPRINT_NAME}, written on {committed['machine']} (this "
+            f"machine: {machine()}). A step's bits moved, so results/fig3 is stale: "
+            "regenerate it with the commands in README's order")
+
 
 class TestSweepSpec:
     def make(self, **kw):
@@ -421,6 +438,21 @@ def sweep_dir(tmp_path_factory):
 
 
 class TestRunSweep:
+    def test_fingerprint_file_is_passed_by(self, sweep_dir):
+        sweep, out = sweep_dir
+        before = aggregate(out).to_csv_text()
+        path = os.path.join(out, FINGERPRINT_NAME)
+        text = json.dumps({"machine": {}, "digests": {"multicrop_m04": "0" * 64}})
+        with open(path, "w") as fh:
+            fh.write(text)
+        try:
+            assert [r.status for r in run_sweep(sweep, out)] == ["cached"] * 4
+            assert aggregate(out).to_csv_text() == before
+            with open(path) as fh:
+                assert fh.read() == text
+        finally:
+            os.remove(path)
+
     def test_paths_and_config_echo(self, sweep_dir):
         sweep, out = sweep_dir
         names = sorted(n for n in os.listdir(out) if n.endswith(".csv"))

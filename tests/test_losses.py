@@ -543,6 +543,25 @@ class TestTiling:
         whole = compute_loss(method, batch, TAU).per_sample
         assert blocked.tobytes() == whole.tobytes()
 
+    @pytest.mark.parametrize("row_block", [1, 3, 8, 32])
+    @pytest.mark.parametrize("tau", [TAU, SMALL_TAU])
+    @pytest.mark.parametrize("method, m", [
+        pytest.param(method, m, id=f"{method.value}-m{m}")
+        for method in Method for m in ((2,) if method is Method.INFONCE else (3, 4))])
+    def test_pass_two_tile_kinds_agree(self, monkeypatch, method, m, tau, row_block):
+        # K = 16. In one block the batch is one diagonal tile, whose rows take
+        # every term. Blocks of 8, 3 (ragged) or 1 rows make one view a tile,
+        # so the gradient also comes from mirrored split tiles' columns and
+        # diagonal split tiles; 32 rows make tiles of two views. suffstats
+        # and tau = 1e-3 give one-sided tiles, the latter with row maxima.
+        batch = random_embedding_batch(16, m, 8, case=430)
+        monkeypatch.setattr(losses, "_ROW_BLOCK", 1024)
+        _, whole = _loss_and_zgrad(method, batch, tau)
+        monkeypatch.setattr(losses, "_ROW_BLOCK", row_block)
+        _, blocked = _loss_and_zgrad(method, batch, tau)
+        worst = np.abs(blocked - whole).max() / np.abs(whole).max()
+        assert worst <= 1e-13, f"{worst:.3e} of the largest entry"
+
 
 def kernel_outputs(method, batch, tau):
     result, grad = _loss_and_zgrad(method, batch, tau)

@@ -61,3 +61,15 @@ def test_import_leaves_scipy_linalg_unloaded():
                           env={**os.environ, "PYTHONPATH": path}, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "False"]
+
+
+def test_import_leaves_hashlib_unloaded():
+    # hashlib loads OpenSSL, 3.7 MiB of RSS; only the fig3 fingerprint
+    # digests, and it imports hashlib when it runs.
+    src = str(Path(polyview.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = "import sys, polyview, polyview.cli; print('_hashlib' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
