@@ -16,12 +16,10 @@ Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 suite failure.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import replace
 
-from .bounds import mi_gap
 from .gaussian_world import (
     MATRIX_ORACLE_MAX_M,
     mi_infomax_limit,
@@ -33,6 +31,8 @@ from .harness import (
     NumericalFailure,
     RunSpec,
     SweepSpec,
+    _read_json,
+    _write_whole,
     aggregate,
     run_sweep,
     write_fingerprint,
@@ -163,19 +163,16 @@ def _cmd_train(args) -> int:
     print(
         f"wrote {args.out}: {args.method} M={args.m} K={args.k} seed={args.seed} "
         f"epoch={final.epoch} bound={final.bound:.6f} true_mi={final.true_mi:.6f} "
-        f"gap={mi_gap(final.true_mi, final.bound):.6f}"
+        f"gap={final.gap:.6f}"
     )
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        with open(args.config) as fh:
-            data = json.load(fh)
+    try:  # any JSON value; from_json_dict refuses one that is not an object
+        data = _read_json(args.config, object)
     except OSError as exc:
         raise _UsageError(f"sweep: cannot read config: {exc}")
-    except json.JSONDecodeError as exc:
-        raise _UsageError(f"sweep: config is not valid JSON: {exc}")
     sweep = SweepSpec.from_json_dict(data)
     if args.jobs is not None:
         sweep = replace(sweep, jobs=args.jobs)
@@ -201,10 +198,8 @@ def _cmd_report(args) -> int:
     if os.path.realpath(os.path.dirname(args.out) or ".") == os.path.realpath(args.in_dir):
         raise _UsageError(f"report: --out {args.out} is inside --in, whose CSVs it reads")
     table = aggregate(args.in_dir)
-    with open(args.out, "w", newline="") as fh:
-        fh.write(table.to_csv_text())
-    with open(dat_path, "w") as fh:
-        fh.write(table.to_gnuplot_text())
+    _write_whole(args.out, table.to_csv_text())
+    _write_whole(dat_path, table.to_gnuplot_text())
     print(f"wrote {args.out} and {dat_path} ({len(table.rows)} groups)")
     return 0
 

@@ -44,16 +44,15 @@ class GaussianConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.sigma0_sq) and self.sigma0_sq > 0.0):
-            raise ValueError(f"sigma0_sq must be positive, got {self.sigma0_sq}")
-        if not (math.isfinite(self.sigma_sq) and self.sigma_sq > 0.0):
-            raise ValueError(f"sigma_sq must be positive, got {self.sigma_sq}")
+        for name in ("sigma0_sq", "sigma_sq"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.m < 2:
             raise ValueError(f"multiplicity m must be >= 2, got {self.m}")
         if self.k < 1:
             raise ValueError(f"sample count k must be >= 1, got {self.k}")
-        if not 0 <= self.seed <= (1 << 64) - 1:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        streams.check_key(self.seed, streams.TRAIN_BATCH)
 
 
 @dataclass(frozen=True)

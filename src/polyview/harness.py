@@ -5,7 +5,9 @@ and `polyview check` run, grouped into the suites of CHECK_SUITES.
 
 The row dataclasses RunRow and AggregateRow define the output formats: their
 field names are the header, and each cell is written and parsed by its
-field's annotation (_WRITE, _READ).
+field's annotation (_WRITE, _READ). One routine, _from_json, reads both
+levels of a sweep config; RunSpec checks M, the variances and the seed
+through its GaussianConfig, which owns those ranges.
 
 Every run is a pure function of its RunSpec: parameters come from the INIT
 stream, epoch t trains on the TRAIN_BATCH stream keyed by t, and recorded
@@ -98,33 +100,24 @@ class RunSpec:
     record_stride: int = 1
 
     def __post_init__(self) -> None:
-        if self.m < 2:
-            raise ValueError(f"need M >= 2, got {self.m}")
+        self.gaussian()  # checks M, the variances and the seed
         if self.k < 2:
             raise ValueError(f"need K >= 2, got {self.k}")
         if self.method is Method.INFONCE and self.m != 2:
             raise ValueError(f"infonce requires M = 2, got M = {self.m}")
-        if not (0 < self.sigma0_sq < math.inf and 0 < self.sigma_sq < math.inf):
-            raise ValueError("variances must be positive and finite")
         _check_tau(self.tau)
         if self.eval_batches < 1:
             raise ValueError(f"eval_batches must be >= 1, got {self.eval_batches}")
         if self.record_stride < 1:
             raise ValueError(f"record_stride must be >= 1, got {self.record_stride}")
-        streams.check_key(self.seed, streams.TEST)  # validates the seed range
         try:  # the key of the last held-out batch
             streams.check_key(self.seed, streams.EVAL_BATCH, b=self.eval_batches - 1)
         except ValueError:
             raise ValueError(f"eval_batches {self.eval_batches} exceeds the held-out streams") from None
 
     def gaussian(self) -> GaussianConfig:
-        return GaussianConfig(
-            sigma0_sq=self.sigma0_sq,
-            sigma_sq=self.sigma_sq,
-            k=self.k,
-            m=self.m,
-            seed=self.seed,
-        )
+        return GaussianConfig(sigma0_sq=self.sigma0_sq, sigma_sq=self.sigma_sq, k=self.k,
+                              m=self.m, seed=self.seed)
 
     def true_mi(self) -> float:
         return true_one_vs_rest_mi(self.sigma0_sq, self.sigma_sq, self.m)
@@ -338,28 +331,11 @@ class SweepSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SweepSpec":
-        if not isinstance(data, dict):
-            raise ValueError("sweep config must be a JSON object")
-        unknown = set(data).difference(_field_names(cls))
-        if unknown:
-            raise ValueError(f"unknown sweep config keys: {sorted(unknown)}")
-        for f in fields(cls):
-            if f.default is MISSING and f.name not in data:
-                raise ValueError(f"sweep config missing required key {f.name!r}")
-        kwargs = {f.name: _checked(f.name, data[f.name], f.type)
-                  for f in fields(cls) if f.name in data}
+        kwargs = _from_json(cls, data, "sweep config")
         kwargs["methods"] = tuple(Method.from_token(t) for t in kwargs["methods"])
-        if "train" in data:
-            tr = data["train"]
-            if not isinstance(tr, dict):
-                raise ValueError("train must be a JSON object")
-            bad = set(tr).difference(_field_names(TrainConfig))
-            if bad:
-                raise ValueError(f"unknown train config keys: {sorted(bad)}")
-            kwargs["train"] = TrainConfig(**{
-                f.name: _checked(f"train.{f.name}", tr[f.name], f.type)
-                for f in fields(TrainConfig) if f.name in tr
-            })
+        if "train" in kwargs:
+            train = _from_json(TrainConfig, kwargs["train"], "train config")
+            kwargs["train"] = TrainConfig(**train)
         return cls(**kwargs)
 
 
@@ -368,19 +344,37 @@ class SweepSpec:
 _SHARED_SETTINGS = tuple(name for name in _field_names(RunSpec) if name in _field_names(SweepSpec))
 
 
+def _from_json(cls, data, what: str) -> dict:
+    """cls's keyword arguments held in the JSON object data, each checked
+    against its field's annotation; every message names the object as what.
+    A key that is not a field is refused, and so is a missing field that
+    has no default."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    unknown = set(data).difference(_field_names(cls))
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+    for f in fields(cls):
+        if f.default is MISSING and f.name not in data:
+            raise ValueError(f"{what} missing required key {f.name!r}")
+    return {f.name: _checked(f"{what} key {f.name!r}", data[f.name], f.type)
+            for f in fields(cls) if f.name in data}
+
+
 _JSON_KINDS = {"int": int, "float": (int, float), "bool": bool, "Method": str}
 
 
-def _checked(key: str, value, kind: str):
+def _checked(label: str, value, kind: str):
     """value if it is JSON for a field annotated kind ("int", "float",
-    "tuple[int, ...]", ...); booleans count as neither int nor float."""
+    "tuple[int, ...]", ...); booleans count as neither int nor float. A
+    refusal's message starts with label."""
     if kind.startswith("tuple["):
         if not isinstance(value, list):
-            raise ValueError(f"sweep config key {key!r} must be a list, got {value!r}")
-        return tuple(_checked(key, v, kind[len("tuple["):-len(", ...]")]) for v in value)
+            raise ValueError(f"{label} must be a list, got {value!r}")
+        return tuple(_checked(label, v, kind[len("tuple["):-len(", ...]")]) for v in value)
     wanted = _JSON_KINDS.get(kind)
     if wanted and (not isinstance(value, wanted) or (kind != "bool" and isinstance(value, bool))):
-        raise ValueError(f"sweep config key {key!r} must be {kind}, got {value!r}")
+        raise ValueError(f"{label} must be {kind}, got {value!r}")
     return value
 
 
@@ -400,22 +394,22 @@ def _is_complete(path: str, spec: RunSpec) -> bool:
     return bool(rows) and rows[-1].epoch == spec.train.epochs
 
 
-def _sweep_worker(args: tuple[RunSpec, str]) -> tuple[str, str, str]:
-    spec, path = args
-    try:
-        run_training(spec).write(path)
-        return path, "ran", ""
-    except NumericalFailure as exc:
-        exc.record.write(path + ".partial")
-        return path, "failed", str(exc)
-
-
 @dataclass(frozen=True)
 class SweepResult:
     spec: RunSpec
     path: str
     status: str  # "ran" | "cached" | "failed"
     message: str = ""
+
+
+def _sweep_worker(args: tuple[RunSpec, str]) -> SweepResult:
+    spec, path = args
+    try:
+        run_training(spec).write(path)
+        return SweepResult(spec=spec, path=path, status="ran")
+    except NumericalFailure as exc:
+        exc.record.write(path + ".partial")
+        return SweepResult(spec=spec, path=path, status="failed", message=str(exc))
 
 
 def run_sweep(sweep: SweepSpec, out_dir: str) -> list[SweepResult]:
@@ -465,16 +459,14 @@ def run_sweep(sweep: SweepSpec, out_dir: str) -> list[SweepResult]:
         try:
             with ProcessPoolExecutor(max_workers=sweep.jobs,
                                      mp_context=multiprocessing.get_context("spawn")) as pool:
-                outcomes = list(pool.map(_sweep_worker, pending))
+                results += pool.map(_sweep_worker, pending)
         finally:
             if saved is None:
                 del os.environ["OPENBLAS_NUM_THREADS"]
             else:
                 os.environ["OPENBLAS_NUM_THREADS"] = saved
     else:
-        outcomes = [_sweep_worker(item) for item in pending]
-    for (spec, path), (_, status, message) in zip(pending, outcomes):
-        results.append(SweepResult(spec=spec, path=path, status=status, message=message))
+        results += map(_sweep_worker, pending)
 
     _record_failures(failures_path, failed, results)
     return results

@@ -15,9 +15,11 @@ Five objectives on a batch of K samples with M unit-norm embeddings each
 
 One kernel, `_candidate_set_loss`, computes all five. It scores anchor views
 against a candidate matrix (all views, one view, or the rest-set
-statistics), leaves every same-sample candidate out of the negative sums,
-takes each positive straight from its score, and aggregates the per-target
+statistics), leaves every same-sample candidate out of the negative sums
+(its score becomes -inf before exp under either shift rule), takes each
+positive straight from its score, and aggregates the per-target
 log-likelihoods by their mean or log-mean-exp (one target: the mean of one).
+One routine, _normalize_rows, normalizes every row here and in the encoder.
 
 Shift rule: unit rows keep every score in [-1/tau, 1/tau]. Anchors scaled
 by 1/tau get a column -1/tau and candidates a column of ones, so the score
@@ -48,7 +50,7 @@ all rows (at K = 1024, by at most 2.5e-16 of the largest entry).
 
 Threads: one ordered map, `_ordered_map`, runs two kinds of work on one
 pool of threads: the view tiles of a kernel call (in pass 1 a tile's
-blocks of score GEMM, exp, mask and sums, in pass 2 their gradient
+blocks of score GEMM, mask, exp and sums, in pass 2 their gradient
 products), and whole-batch
 tasks, the independent held-out batches of an evaluation row or a study,
 each drawn, encoded and scored by one task. The pool is made at the first
@@ -194,15 +196,22 @@ class LossResult:
 
 
 def l2_normalize(v: np.ndarray) -> np.ndarray:
-    """Scale rows (last axis) to unit Euclidean norm.
+    """A copy of v with its rows (last axis) scaled to unit Euclidean norm;
+    raises on any row with norm <= NORMALIZE_EPS rather than emitting NaN."""
+    v = np.array(v, dtype=np.float64)
+    _normalize_rows(v, "cannot normalize a zero or subnormal vector")
+    return v
 
-    Raises on any row with norm <= 1e-30 rather than emitting NaN.
-    """
-    v = np.asarray(v, dtype=np.float64)
+
+def _normalize_rows(v: np.ndarray, message: str) -> np.ndarray:
+    """Divide the rows (last axis) of v by their norms in place, and return
+    the norms with a trailing axis of one. Any norm <= NORMALIZE_EPS is
+    refused with _NumericalError(message), before v changes."""
     norms = np.linalg.norm(v, axis=-1, keepdims=True)
     if np.any(norms <= NORMALIZE_EPS):
-        raise _NumericalError("cannot normalize a zero or subnormal vector")
-    return v / norms
+        raise _NumericalError(message)
+    v /= norms
+    return norms
 
 
 def _through_normalize(grad: np.ndarray, unit: np.ndarray, norms: np.ndarray) -> np.ndarray:
@@ -423,16 +432,14 @@ def _exp_tile(a_hat, c_hat, k, tile, block, shift, fill, s):
     i0, i1, same = block
     lead = s.shape[:-2]
     np.matmul(a_hat, np.swapaxes(c_hat, -1, -2), out=s)
-    e = s.reshape(*lead, a1 - a0, i1 - i0, b1 - b0, k)
-    if shift is None:
-        np.exp(s, out=s)
-        s.reshape(*lead, -1)[..., same] = 0.0
-        return e
+    # exp(-inf) is exactly 0, and -inf is no row's max.
     s.reshape(*lead, -1)[..., same] = -np.inf
-    rows = shift[..., a0:a1, i0:i1, b0:b1]
-    if fill:
-        rows[...] = e.max(axis=-1)
-    e -= rows[..., None]
+    e = s.reshape(*lead, a1 - a0, i1 - i0, b1 - b0, k)
+    if shift is not None:
+        rows = shift[..., a0:a1, i0:i1, b0:b1]
+        if fill:
+            rows[...] = e.max(axis=-1)
+        e -= rows[..., None]
     return np.exp(e, out=e)
 
 
@@ -672,14 +679,10 @@ def _per_sample_loss(method: Method, zt: np.ndarray, tau: float, want_grad: bool
                                    method in (Method.INFONCE, Method.MULTICROP), want_grad)[:2]
     # Candidates: rest-set statistics q_v = normalize((sum_b z_b - z_v) / (M-1)).
     m = zt.shape[-3]
-    u = zt.sum(axis=-3, keepdims=True) - zt
-    u /= m - 1
-    u_norms = np.linalg.norm(u, axis=-1, keepdims=True)
-    if np.any(u_norms <= NORMALIZE_EPS):
-        raise _NumericalError(
-            "rest-set mean has near-zero norm (antipodal views); cannot normalize")
-    q = u
-    q /= u_norms
+    q = zt.sum(axis=-3, keepdims=True) - zt
+    q /= m - 1
+    u_norms = _normalize_rows(
+        q, "rest-set mean has near-zero norm (antipodal views); cannot normalize")
     per_sample, grad, grad_q = _candidate_set_loss(zt, q, tau, False, False, False, want_grad)
     if want_grad:
         grad_u = _through_normalize(grad_q, q, u_norms)

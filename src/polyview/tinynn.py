@@ -15,16 +15,17 @@ on its weight stacks. A pass frees its weight stacks and embeddings before
 its kernel pass, and the forward pass works in place where the bits cannot
 change, so the wide passes stay small.
 
-The first layer runs in row chunks of _ERF_BLOCK entries written into one
-array, so its temporaries stay small. A training step (loss_and_grads)
+The first layer runs in row chunks of at most _ERF_BLOCK entries across
+any parameter-set axis, written into one array, so the erf's temporaries
+stay small; no other routine splits the work. A training step (loss_and_grads)
 holds, through both kernel passes, the first layer's inputs x, the norms of
 h2, and one copy of the embeddings: the view-major one that the kernel
 scores. The activations a1 die once h2 is formed, and the sample-major z
 once copied. The embedding gradient becomes dh2 in its own memory, row by
 row and still view-major, and is transposed to sample-major once, for the
 sums over rows, whose order fixes their bits. The backward pass then forms
-da1 = dh2 w2 and runs the first layer again, chunk by chunk: one erf gives
-a chunk of a1 and the GeLU derivative that turns da1 into dh1 in place.
+da1 = dh2 w2 and runs the first layer again, chunk by chunk: gelu(h1, da1)
+gives a chunk of a1 and, from the same erf, turns da1 into dh1 in place.
 
 Everything is float64 and functional: forward, loss_and_grads and adamw_step
 take and return immutable dataclasses, so equal inputs give bit-equal outputs.
@@ -41,6 +42,7 @@ from .losses import (
     EmbeddingBatch,
     LossResult,
     Method,
+    _normalize_rows,
     _NumericalError,
     _per_sample_loss,
     _through_normalize,
@@ -79,9 +81,9 @@ _ERF_Q = (1.32281951154744992508E1, 8.67072140885989742329E1, 3.5493777888781989
           1.65666309194161350182E3, 5.57535340817727675546E2)
 # erf rounds to 1 from here on: 1 - erfc(6) is 1 - 2.2e-17.
 _ERF_ONE = 6.0
-# Entries per erf block. Best of 30 on an encoder's 327,680 first-layer
-# values (M = 10, K = 1024), 2-core host with 2 MiB of L2: 9.7 ms in one
-# block, 6.5 ms in blocks of 4,096, 4.0 at 16,384 and 3.5 at 32,768.
+# Entries per first-layer chunk. Best of 30 erfs on an encoder's 327,680
+# first-layer values (M = 10, K = 1024), 2-core host with 2 MiB of L2: 9.7 ms
+# in one block, 6.5 ms in blocks of 4,096, 4.0 at 16,384 and 3.5 at 32,768.
 _ERF_BLOCK = 32768
 
 
@@ -207,26 +209,19 @@ def _erf(x: np.ndarray) -> np.ndarray:
 
     On |x| <= 1 the bits are scipy's. Beyond, exp comes from numpy, whose
     rounding differs from the C library's on a few inputs, so a value may
-    differ by 1 ulp. The work runs in blocks of _ERF_BLOCK entries, whose
-    dozen temporaries stay in cache; every step is elementwise, so the bits
-    depend on neither the blocks nor x's shape or layout.
+    differ by 1 ulp. Both branches run on |x|, clipped where erf rounds to
+    1, and the sign goes back last: every product and quotient is odd in x,
+    as in cephes's erf(-x) = -erf(x). Every step is elementwise, so the bits
+    depend on neither x's shape nor its layout; callers bound the size of x
+    (_first_layer's chunks), which bounds the dozen temporaries.
     """
     x = np.asarray(x, dtype=np.float64)
     flat = x.reshape(-1)
-    out = np.empty_like(flat)
-    for lo in range(0, flat.size, _ERF_BLOCK):
-        _erf_into(flat[lo:lo + _ERF_BLOCK], out[lo:lo + _ERF_BLOCK])
-    return out.reshape(x.shape)
-
-
-def _erf_into(x: np.ndarray, out: np.ndarray) -> None:
-    """Writes erf(x) into out. Both branches run on |x|, clipped where erf
-    rounds to 1, and the sign goes back last: every product and quotient
-    is odd in x, as in cephes's erf(-x) = -erf(x)."""
-    a = np.abs(x)
+    a = np.abs(flat)
     np.minimum(a, _ERF_ONE, out=a)
     z = a * a
-    np.multiply(_polevl(z, _ERF_T), a, out=out)
+    out = _polevl(z, _ERF_T)
+    out *= a
     out /= _p1evl(z, _ERF_U)
     outer = np.flatnonzero(a > 1.0)
     if outer.size:
@@ -235,16 +230,23 @@ def _erf_into(x: np.ndarray, out: np.ndarray) -> None:
         tail *= _polevl(ao, _ERF_P)
         tail /= _p1evl(ao, _ERF_Q)
         out[outer] = 1.0 - tail
-    np.copysign(out, x, out=out)
+    np.copysign(out, flat, out=out)
+    return out.reshape(x.shape)
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
+def gelu(x: np.ndarray, dx: np.ndarray | None = None) -> np.ndarray:
     """Exact GeLU x * Phi(x) via the error function (no tanh approximation,
-    so finite differences have a single ground truth)."""
+    so finite differences have a single ground truth). Given dx, it also
+    multiplies dx in place by the derivative Phi(x) + x phi(x), taken from
+    the same erf with gelu_grad's bits: a sum or product that swaps its
+    operands rounds the same."""
     x = np.asarray(x, dtype=np.float64)
-    # In place, with the same bits: the last product only swaps its factors.
     out = _erf(x * _INV_SQRT2)
     out += 1.0
+    if dx is not None:
+        grad = 0.5 * out
+        grad += x * (_INV_SQRT2PI * np.exp(-0.5 * x * x))
+        dx *= grad
     out *= 0.5 * x
     return out
 
@@ -256,33 +258,19 @@ def gelu_grad(x: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + _erf(x * _INV_SQRT2)) + x * phi
 
 
-def _gelu_and_grad(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """gelu(x) and gelu_grad(x) from one erf, each with its function's bits:
-    a sum or product that swaps its operands rounds the same."""
-    one_plus = _erf(x * _INV_SQRT2)
-    one_plus += 1.0
-    grad = 0.5 * one_plus
-    grad += x * (_INV_SQRT2PI * np.exp(-0.5 * x * x))
-    one_plus *= 0.5 * x
-    return one_plus, grad
-
-
 def _first_layer(x: np.ndarray, w1, b1, dh1: np.ndarray | None = None) -> np.ndarray:
-    """a1 = gelu(x w1^T + b1), in row chunks of _ERF_BLOCK entries written into
-    one array; every step is elementwise or one product per entry, so the bits
-    are those of one pass. The weights may carry a leading parameter-set axis.
-    Given the gradient w.r.t. a1, dh1, each chunk multiplies it in place by
-    the GeLU derivative taken from the same erf, turning it into the
-    gradient w.r.t. h1."""
-    rows = _ERF_BLOCK // D_HIDDEN
-    a1 = np.empty(np.broadcast_shapes(w1.shape[:-2], b1.shape[:-2]) + (len(x), D_HIDDEN))
+    """a1 = gelu(x w1^T + b1), in row chunks of at most _ERF_BLOCK entries
+    across any leading parameter-set axis of the weights (1,024 rows without
+    one, 8 at 128 sets), written into one array; every step is elementwise
+    or one product per entry, so the bits are those of one pass. Given the
+    gradient w.r.t. a1, dh1 (without a set axis), each chunk's gelu turns it
+    in place into the gradient w.r.t. h1."""
+    sets = np.broadcast_shapes(w1.shape[:-2], b1.shape[:-2])
+    a1 = np.empty(sets + (len(x), D_HIDDEN))
+    rows = max(1, _ERF_BLOCK // (math.prod(sets) * D_HIDDEN))
     for lo in range(0, len(x), rows):
-        h1 = _hidden(x[lo:lo + rows], w1, b1)
-        if dh1 is None:
-            a1[..., lo:lo + rows, :] = gelu(h1)
-        else:
-            a1[..., lo:lo + rows, :], grad = _gelu_and_grad(h1)
-            dh1[lo:lo + rows] *= grad
+        a1[..., lo:lo + rows, :] = gelu(_hidden(x[lo:lo + rows], w1, b1),
+                                        None if dh1 is None else dh1[lo:lo + rows])
     return a1
 
 
@@ -313,10 +301,7 @@ def _second_layer(a1: np.ndarray, w2, b2, shape: tuple) -> tuple:
     has shape (S, 1, n)); the outputs broadcast over it.
     """
     h2 = _add_bias(a1 @ np.swapaxes(w2, -1, -2), b2)
-    norms = np.linalg.norm(h2, axis=-1, keepdims=True)
-    if np.any(norms <= 1e-30):
-        raise _NumericalError("encoder produced a zero pre-normalization vector")
-    h2 /= norms
+    norms = _normalize_rows(h2, "encoder produced a zero pre-normalization vector")
     return norms, h2.reshape(*h2.shape[:-2], *shape, D_OUT)
 
 

@@ -4,7 +4,9 @@ Exit code contract: 0 success, 1 usage error, 2 numerical failure,
 3 self-check suite failure.
 """
 
+import errno
 import importlib
+import io
 import json
 import os
 import shutil
@@ -265,6 +267,12 @@ class TestSweep:
         assert main(["sweep", "--config", str(bad), "--out", str(tmp_path)]) == 1
         assert "not valid JSON" in capsys.readouterr().err
 
+    def test_config_not_an_object(self, tmp_path, capsys):
+        config_path = tmp_path / "sweep.json"
+        config_path.write_text('["multicrop"]')
+        assert main(["sweep", "--config", str(config_path), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: sweep config must be a JSON object\n"
+
     @pytest.mark.parametrize("text", ['[{"path": "x", "mess', "[{}]", '{"a": 1}'],
                              ids=["truncated", "empty-entry", "object"])
     def test_malformed_failures_json_is_refused(self, tmp_path, capsys, sweep_config, text):
@@ -369,6 +377,32 @@ class TestReport:
         assert main(["report", "--in", str(fake_runs), "--out", out]) == 1
         assert "is inside --in, whose CSVs it reads" in capsys.readouterr().err
         assert sorted(os.listdir(fake_runs)) == before
+
+    def test_failed_second_write_keeps_the_previous_files(self, tmp_path, capsys, fake_runs,
+                                                          monkeypatch):
+        # The disk fills while the .dat table is written: both summary files
+        # keep their previous text whole, and no .tmp file is left behind.
+        out = tmp_path / "summary.csv"
+        args = ["report", "--in", str(fake_runs), "--out", str(out)]
+        assert main(args) == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.glob("summary*")}
+
+        class FullDisk(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        def full_disk_open(path, mode="r", *rest, **kwargs):
+            fh = open(path, mode, *rest, **kwargs)
+            if "w" not in mode or ".dat" not in os.path.basename(path):
+                return fh
+            fh.close()  # created or truncated, as by open
+            return FullDisk()
+
+        for module in (cli, harness):
+            monkeypatch.setattr(module, "open", full_disk_open, raising=False)
+        assert main(args) == 1
+        assert "No space left on device" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in tmp_path.glob("summary*")} == before
 
     def test_missing_input_directory_is_error(self, tmp_path, capsys):
         out = tmp_path / "summary.csv"

@@ -8,6 +8,7 @@ the committed results/ dataset covers production scale.
 import json
 import math
 import os
+import re
 import sys
 import threading
 import time
@@ -87,6 +88,11 @@ class TestRunSpec:
     def test_rejects_bad_fields(self, kw):
         with pytest.raises(ValueError):
             tiny_spec(**kw)
+
+    @pytest.mark.parametrize("name", ["sigma0_sq", "sigma_sq"])
+    def test_infinite_variance_refused_as_not_finite(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got inf$"):
+            tiny_spec(**{name: math.inf})
 
     def test_eval_batches_within_the_stream_range(self):
         # Held-out batch j is drawn from EVAL_BATCH stream index b = j < 2**16.
@@ -395,6 +401,21 @@ class TestSweepSpec:
         data = {**self.make().to_json_dict(), key: value}
         with pytest.raises(ValueError, match=f"sweep config key '{key}'"):
             SweepSpec.from_json_dict(data)
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda d: [d], "sweep config must be a JSON object"),
+        (lambda d: {**d, "train": [3]}, "train config must be a JSON object"),
+        (lambda d: {**d, "train": {"epochs": 2.0}},
+         "train config key 'epochs' must be int, got 2.0"),
+        (lambda d: {**d, "train": {"beta1": True}},
+         "train config key 'beta1' must be float, got True"),
+    ], ids=["sweep-not-object", "train-not-object", "train-int-type", "train-float-type"])
+    def test_each_level_names_itself(self, edit, message):
+        # One reader checks the sweep config and its nested train config
+        # (the unknown-key and sweep-level type tests above cover the rest);
+        # each message names the level it refuses.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SweepSpec.from_json_dict(edit(self.make().to_json_dict()))
 
     def test_missing_required_key_rejected(self):
         data = self.make().to_json_dict()

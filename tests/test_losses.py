@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,7 +23,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import at_width, identical_embedding_batch, random_embedding_batch, unit_rows
-from polyview import losses, streams
+from polyview import losses, streams, tinynn
+from polyview.gaussian_world import GaussianConfig, sample_batch
 from polyview.losses import (
     EmbeddingBatch,
     LossResult,
@@ -33,7 +35,8 @@ from polyview.losses import (
     l2_normalize,
     loss_pair_infonce,
 )
-from polyview.tinynn import finite_difference_grads, init_params
+from polyview.tinynn import finite_difference_grads, forward, init_params
+from reference import reference_losses
 
 TAU = 0.5
 
@@ -155,6 +158,32 @@ class TestNormalize:
     def test_subnormal_vector_rejected(self):
         with pytest.raises(ValueError):
             l2_normalize(np.full(3, 1e-300))
+
+    @pytest.mark.parametrize("caller,message", [
+        ("l2_normalize", "cannot normalize a zero or subnormal vector"),
+        ("suffstats", "rest-set mean has near-zero norm (antipodal views); cannot normalize"),
+        ("encoder", "encoder produced a zero pre-normalization vector"),
+    ])
+    def test_norm_at_the_floor_refused(self, caller, message):
+        # Each caller of the one row normalization refuses a row of norm
+        # exactly NORMALIZE_EPS with its own message, and takes twice that.
+        def run(norm):
+            row = np.zeros(tinynn.D_OUT)
+            row[0] = norm
+            assert np.linalg.norm(row) == norm
+            if caller == "l2_normalize":
+                return l2_normalize(np.stack([row, unit_rows(np.ones(tinynn.D_OUT))]))
+            if caller == "suffstats":  # q[1, 0], view 1's rest mean, is zt[0, 0]
+                zt = np.zeros((2, 2, tinynn.D_OUT))
+                zt[..., 1] = 1.0
+                zt[0, 0] = row
+                return _per_sample_loss(Method.SUFFSTATS, zt, TAU, False)
+            return tinynn._second_layer(np.zeros((1, tinynn.D_HIDDEN)),
+                                        np.zeros((tinynn.D_OUT, tinynn.D_HIDDEN)), row, (1, 1))
+
+        with pytest.raises(losses._NumericalError, match=f"^{re.escape(message)}$"):
+            run(losses.NORMALIZE_EPS)
+        run(2 * losses.NORMALIZE_EPS)
 
 
 class TestEmbeddingBatch:
@@ -499,6 +528,32 @@ class TestSmallTemperature:
         assert np.isfinite(grad).all()
         want = ALL_ORACLES[method](batch.z, SMALL_TAU)
         np.testing.assert_allclose(result.per_sample, want, rtol=0, atol=1e-12)
+
+
+class TestLongDoubleReferee:
+    """Every objective's per-sample losses against tests/reference.py, which
+    computes them in long double from the same float64 embeddings: those of
+    the seed-0 initial encoder on a Gaussian batch. The budget is
+    C * u * (1 + 1/tau) relative, u = 2**-53: the kernel may err by the
+    rounding of its scores, which grows as 1/tau. The measured worst is
+    C = 1.26 (K = 64, M = 2, tau = 2.8e-3, infonce and multicrop); below it
+    lie 1.02 at K = 256, M = 4, tau = 0.5 and 0.99 at K = 64, M = 10,
+    tau = 0.5. C = 4 leaves a factor of three."""
+
+    C = 4.0
+
+    @pytest.mark.parametrize("k,m,tau", [
+        *((64, m, tau) for m in (2, 4, 10) for tau in (0.5, 1e-2, 3e-3, 2.8e-3, 1e-3)),
+        (256, 4, 0.5), (256, 4, 1e-3),
+    ])
+    def test_losses_within_budget(self, k, m, tau):
+        views = sample_batch(GaussianConfig(1.0, 0.25, k, m, 0)).views
+        z = forward(init_params(streams.stream(0, streams.INIT)), views)
+        budget = self.C * 2.0**-53 * (1.0 + 1.0 / tau)
+        for token, want in reference_losses(z.z, tau).items():
+            got = compute_loss(Method.from_token(token), z, tau).per_sample
+            worst = float(np.max(np.abs(got - want) / np.abs(want)))
+            assert worst <= budget, f"{token}: {worst:.3e} relative, budget {budget:.3e}"
 
 
 class TestTiling:

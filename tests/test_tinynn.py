@@ -113,30 +113,42 @@ class TestGelu:
         assert float(rel.max()) < 1e-7
 
     def test_one_erf_gives_both_bitwise(self):
-        # Both sides of |x| = 1, where erf changes branch, and beyond six.
-        x = np.concatenate([rng_for(35).normal(0.0, 3.0, 50_000), [0.0, -0.0, 1.0, -7.5]])
-        value, grad = tinynn._gelu_and_grad(x)
-        assert np.array_equal(bits(value), bits(gelu(x)))
-        assert np.array_equal(bits(grad), bits(gelu_grad(x)))
+        # Both sides of |x| = 1, where erf changes branch, and beyond six; a
+        # 0-d array, a strided view and an odd length.
+        x = np.concatenate([rng_for(35).normal(0.0, 3.0, 50_001), [0.0, -0.0, 1.0, -7.5]])
+        for arg in (x, x[::3], np.array(x[7]), x.reshape(5, -1)[:, 1::2]):
+            da = rng_for(38).normal(size=arg.shape)
+            for dx, want in ((np.ones(arg.shape), gelu_grad(arg)),
+                             (da.copy(), da * gelu_grad(arg))):
+                value = gelu(arg, dx)
+                assert np.array_equal(bits(value), bits(gelu(arg)))
+                assert value.shape == arg.shape
+                assert np.array_equal(bits(dx), bits(want))
 
     @pytest.mark.parametrize("stacked", [False, True])
     def test_chunked_first_layer_keeps_the_bits(self, stacked):
-        # 3,000 rows: two whole chunks of 1,024 rows and a ragged one.
+        # Without a set axis, 3,000 rows: two whole chunks of 1,024 rows and
+        # a ragged one. With an oracle pass's 128 sets, K * M = 1,000 rows
+        # in chunks of 8.
         params = init_params(rng_for(36))
         w1, b1 = params.w1, params.b1
-        if stacked:  # an oracle pass's stacks of three parameter sets
-            w1 = w1[None] + np.arange(3.0)[:, None, None]
-            b1 = b1[None, None] - np.arange(3.0)[:, None, None]
-        x = random_views(1000, 3, case=16).reshape(-1, D_IN)
-        assert x.shape[0] % (tinynn._ERF_BLOCK // D_HIDDEN)
+        k, sets = (250, 128) if stacked else (1000, 1)
+        if stacked:
+            w1 = w1[None] + np.linspace(0.0, 3.0, sets)[:, None, None]
+            b1 = b1[None, None] - np.linspace(0.0, 3.0, sets)[:, None, None]
+        x = random_views(k, 4 if stacked else 3, case=16).reshape(-1, D_IN)
+        chunk = tinynn._ERF_BLOCK // (sets * D_HIDDEN)
+        assert chunk == (8 if stacked else 1024) and x.shape[0] > chunk
         h1 = tinynn._hidden(x, w1, b1)
-        assert np.array_equal(bits(tinynn._first_layer(x, w1, b1)), bits(gelu(h1)))
+        # One unchunked pass over all rows, set by set.
+        want = np.stack([gelu(h) for h in h1.reshape(-1, *h1.shape[-2:])]).reshape(h1.shape)
+        assert np.array_equal(bits(tinynn._first_layer(x, w1, b1)), bits(want))
         if stacked:
             return
         da1 = rng_for(37).normal(size=h1.shape)
         dh1 = da1.copy()
         a1 = tinynn._first_layer(x, w1, b1, dh1)
-        assert np.array_equal(bits(a1), bits(gelu(h1)))
+        assert np.array_equal(bits(a1), bits(want))
         assert np.array_equal(bits(dh1), bits(da1 * gelu_grad(h1)))
 
 
