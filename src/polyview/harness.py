@@ -307,8 +307,6 @@ class SweepSpec:
             raise ValueError("seeds must be distinct")
         if len(set(self.m_values)) != len(self.m_values):
             raise ValueError("m_values must be distinct")
-        if Method.INFONCE in self.methods and any(m != 2 for m in self.m_values):
-            raise ValueError("infonce only supports M = 2; use a separate sweep")
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         self.expand()  # validates every combination via RunSpec

@@ -32,21 +32,23 @@ negative sums); gradients add pass 2, which recomputes each tile. All
 reductions run in float64 in a fixed order: equal inputs give equal bits.
 
 Tiles and blocks: one constant, _ROW_BLOCK, sizes both. A tile is a group
-of whole views holding at most _ROW_BLOCK rows, which runs as one block, or
-a single view, which runs in blocks of at most _ROW_BLOCK rows in row
-order; so no K x K tile is ever held whole. A block is a range of rows of
-every anchor view of its tile. Row sums, row maxima and a row's pass-2
-product are whole rows in any block. A mirrored tile's column sums in
-pass 1 are added down each anchor view's rows one by one, as one sum over
-the view's rows adds them: a view split over blocks carries its running sum
-in the row in front of each later block's scores, so pass 1 has the bits of
-unsplit views. Pass 2 weighs each block's exp scores E by the gradient's
-coefficients, W = E * (c_rows + c_cols^T) (by c_rows alone where the tile is
-one-sided), and takes every term from two d-wide products: W @ C for the
-rows and, in a mirrored or one-sided tile, W^T @ A_block for the columns.
-The latter has the block's rows as its inner dimension, so a split view sums
-it over its blocks in block order, which rounds otherwise than one GEMM over
-all rows (at K = 1024, by at most 2.5e-16 of the largest entry).
+of whole views holding at most _ROW_BLOCK rows, or a single view. Every
+tile of a call runs the same row blocks in row order, rows [i0, i1) of each
+anchor view, at most _ROW_BLOCK at a time; so no K x K tile is ever held
+whole, and a group of views (K <= _ROW_BLOCK / 2) is one block. A block's
+same-sample scores form a diagonal that the mask sets through a view. Row
+sums, row maxima and a row's pass-2 product are whole rows in any block. A
+mirrored tile's column sums in pass 1 are added down each anchor view's
+rows one by one, as one sum over the view's rows adds them: a view split
+over blocks carries its running sum in the row in front of each later
+block's scores, so pass 1 has the bits of unsplit views. Pass 2 weighs each
+block's exp scores E by the gradient's coefficients,
+W = E * (c_rows + c_cols^T) (by c_rows alone where the tile is one-sided),
+and takes every term from two d-wide products: W @ C for the rows and, in a
+mirrored or one-sided tile, W^T @ A_block for the columns. The latter has
+the block's rows as its inner dimension, so a split view sums it over its
+blocks in block order, which rounds otherwise than one GEMM over all rows
+(at K = 1024, by at most 2.5e-16 of the largest entry).
 
 Threads: one ordered map, `_ordered_map`, runs two kinds of work on one
 pool of threads: the view tiles of a kernel call (in pass 1 a tile's
@@ -240,41 +242,30 @@ def _plan(others: bool, per_view: bool, ma: int, mc: int, k: int, symmetric: boo
           row_block: int):
     """Index work shared by every call of one shape: targets (Ma, T), the
     candidate views holding each anchor view's positives; the tiles
-    (a0, a1, b0, b1, mirrored, blocks), anchor views [a0, a1) against
-    candidate views [b0, b1), a mirrored tile also standing for its
-    transpose; and the flat indices of the targets in a (Ma, K, Mc) array.
-    A tile is a group of whole views of at most row_block rows, or one view.
-    It runs in blocks (i0, i1, same) of at most row_block anchor rows, in row
-    order: rows [i0, i1) of each of its anchor views, with the flat indices
-    of their same-sample entries in the block's (a1 - a0, i1 - i0, b1 - b0, K)
-    scores. A tile of several views is one block."""
+    (a0, a1, b0, b1, mirrored), anchor views [a0, a1) against candidate
+    views [b0, b1), a mirrored tile also standing for its transpose; the
+    flat indices of the targets in a (Ma, K, Mc) array; and the row blocks
+    (i0, i1) of at most row_block rows that every tile runs in row order,
+    rows [i0, i1) of each of its anchor views. A tile is a group of whole
+    views of at most row_block rows, or one view. A group exists only when
+    K <= row_block / 2, so it runs as the one block (0, K)."""
     if others:
         targets = np.array([[b for b in range(mc) if b != a] for a in range(ma)])
     else:
         targets = np.arange(ma)[:, None]
     needed = np.full((ma, mc), not per_view)
     needed[np.arange(ma)[:, None], targets] = True
-    rows, step, tiles = np.arange(k), max(1, row_block // k), []
+    step, tiles = max(1, row_block // k), []
     for a0 in range(0, ma, step):
         a1 = min(a0 + step, ma)
         for b0 in range(a0 if symmetric else 0, mc, step):
             b1 = min(b0 + step, mc)
             mirrored = symmetric and b0 != a0
             if needed[a0:a1, b0:b1].any() or (mirrored and needed[b0:b1, a0:a1].any()):
-                tiles.append((a0, a1, b0, b1, mirrored, _blocks(a1 - a0, b1 - b0, k, row_block)))
-    gather = (np.arange(ma)[:, None, None] * k + rows[:, None]) * mc + targets[:, None, :]
-    return targets, tuple(tiles), gather
-
-
-def _blocks(va, vb, k, row_block):
-    """The row blocks of va anchor views against vb candidate views: rows
-    [i0, i1) of every anchor view, at most row_block rows at a time."""
-    blocks = []
-    for i0 in range(0, k, row_block):
-        i = np.arange(i0, min(i0 + row_block, k))[:, None]
-        same = ((np.arange(va)[:, None, None] * len(i) + i - i0) * vb + np.arange(vb)) * k + i
-        blocks.append((i0, i0 + len(i), same.ravel()))
-    return tuple(blocks)
+                tiles.append((a0, a1, b0, b1, mirrored))
+    gather = (np.arange(ma)[:, None, None] * k + np.arange(k)[:, None]) * mc + targets[:, None, :]
+    blocks = tuple((i0, min(i0 + row_block, k)) for i0 in range(0, k, row_block))
+    return targets, tuple(tiles), gather, blocks
 
 
 def _openblas_thread_calls():
@@ -372,17 +363,11 @@ def _ordered_map(fn, items, size, prepare=None):
             future.cancel()
 
 
-def _pass_one_slot(tiles, k):
+def _pass_one_slot(tiles, blocks, k):
     """Floats of a pass-1 slot for one batch: the largest block's scores,
-    behind one row for a carried column sum."""
-    return max((1 + (a1 - a0) * (i1 - i0)) * (b1 - b0) * k
-               for a0, a1, b0, b1, _, blocks in tiles for i0, i1, _ in blocks)
-
-
-def _batch_slot(k, m):
-    """Floats of the pass-1 slot that a loss-only call on K samples of at
-    most M views needs, without stacked batches."""
-    return _pass_one_slot(_plan(True, False, m, m, k, False, _ROW_BLOCK)[1], k)
+    behind one row for a carried column sum. The first block is the largest."""
+    i0, i1 = blocks[0]
+    return max((1 + (a1 - a0) * (i1 - i0)) * (b1 - b0) * k for a0, a1, b0, b1, _ in tiles)
 
 
 def _map_batches(fn, n, k, m):
@@ -393,7 +378,8 @@ def _map_batches(fn, n, k, m):
     through the kernel calls would make each call fault its own tiles' pages
     in anew."""
     if n > 1 and _tile_pool()[1] is not None:
-        return list(_ordered_map(lambda i, _: fn(i), range(n), _batch_slot(k, m)))
+        _, tiles, _, blocks = _plan(True, False, m, m, k, False, _ROW_BLOCK)
+        return list(_ordered_map(lambda i, _: fn(i), range(n), _pass_one_slot(tiles, blocks, k)))
     return [fn(i) for i in range(n)]
 
 
@@ -423,18 +409,18 @@ def _hat(views, inv_tau, out):
 
 
 def _exp_tile(a_hat, c_hat, k, tile, block, shift, fill, s):
-    """exp of one block of a tile's shifted scores as (va, n, vb, K), every
-    same-sample entry zero, written into s (va * n, vb * K). a_hat holds the
-    block's folded anchor rows and c_hat the tile's folded candidate rows.
+    """exp of one block (i0, i1) of a tile's shifted scores as (va, n, vb, K),
+    every same-sample entry zero, written into s (va * n, vb * K). a_hat holds
+    the block's folded anchor rows and c_hat the tile's folded candidate rows.
     shift is None under the constant shift; else the per-row, per-view
     shifts, whose rows of this block fill takes from its maxima."""
     a0, a1, b0, b1 = tile[:4]
-    i0, i1, same = block
-    lead = s.shape[:-2]
+    i0, i1 = block
     np.matmul(a_hat, np.swapaxes(c_hat, -1, -2), out=s)
-    # exp(-inf) is exactly 0, and -inf is no row's max.
-    s.reshape(*lead, -1)[..., same] = -np.inf
-    e = s.reshape(*lead, a1 - a0, i1 - i0, b1 - b0, k)
+    e = s.reshape(*s.shape[:-2], a1 - a0, i1 - i0, b1 - b0, k)
+    # Row i0 + r's own sample is column i0 + r of each candidate view, a
+    # diagonal set through a view; exp(-inf) is 0, and -inf is no row's max.
+    np.einsum("...arbr->...arb", e[..., i0:i1])[...] = -np.inf
     if shift is not None:
         rows = shift[..., a0:a1, i0:i1, b0:b1]
         if fill:
@@ -459,12 +445,11 @@ def _candidate_set_loss(anchors, cands, tau, others, log_mean_exp, per_view, wan
     *lead, ma, k, d = anchors.shape
     rowmax = 2.0 / tau > _SHIFT_LIMIT
     symmetric = cands is anchors and not rowmax
-    targets, tiles, gather = _plan(others, per_view, ma, cands.shape[-3], k, symmetric,
-                                   _ROW_BLOCK)
+    plan = _plan(others, per_view, ma, cands.shape[-3], k, symmetric, _ROW_BLOCK)
+    _, tiles, _, blocks = plan
     shift = np.zeros((*lead, ma, k, cands.shape[-3])) if rowmax else None
     per_sample, coeff, grad_a, grad_c = _loss_terms(
-        anchors, cands, tau, targets.shape[1], tiles, gather, shift, log_mean_exp, per_view,
-        want_grad)
+        anchors, cands, tau, plan, shift, log_mean_exp, per_view, want_grad)
     if not want_grad:
         return per_sample, None, None
 
@@ -492,13 +477,13 @@ def _candidate_set_loss(anchors, cands, tau, others, log_mean_exp, per_view, wan
         # block's weighted scores, the weights of a symmetric tile, and a
         # later block's column increments.
         va, vb = tile[1] - tile[0], tile[3] - tile[2]
-        later = increment_shapes(tile)[1] if len(tile[5]) > 1 else (0,)
+        later = increment_shapes(tile)[1] if len(blocks) > 1 else (0,)
         return ((vb * k, d + 1), (va, k, d + 1), (va * n, vb * k),
                 (min(n, _WEIGHT_ROWS) * symmetric, vb, k), later)
 
     def tile_increments(item, buffer):
         tile, memory = item
-        a0, a1, b0, b1, _, blocks = tile
+        a0, a1, b0, b1, _ = tile
         va, vb = a1 - a0, b1 - b0
         inc_a, inc_c = _carve(memory, *increment_shapes(tile))
         zb = cands[b0:b1].reshape(vb * k, d)
@@ -506,10 +491,9 @@ def _candidate_set_loss(anchors, cands, tau, others, log_mean_exp, per_view, wan
         c_hat, a_hat = _carve(buffer, *block_arrays(tile, 0)[:2])
         _hat(zb, None, c_hat)
         _hat(anchors[a0:a1], 1.0 / tau, a_hat.reshape(-1, d + 1))
-        for j, block in enumerate(blocks):
-            i0, i1, _ = block
+        for j, (i0, i1) in enumerate(blocks):
             s, weights, later = _carve(buffer, *block_arrays(tile, i1 - i0))[2:]
-            e = _exp_tile(a_hat[:, i0:i1].reshape(-1, d + 1), c_hat, k, tile, block, shift,
+            e = _exp_tile(a_hat[:, i0:i1].reshape(-1, d + 1), c_hat, k, tile, (i0, i1), shift,
                           False, s)
             c_rows = coeff[a0:a1, i0:i1, b0:b1, None]
             if not symmetric:
@@ -527,16 +511,15 @@ def _candidate_set_loss(anchors, cands, tau, others, log_mean_exp, per_view, wan
                     inc_c += later
         return [(grad_a, a0, a1, inc_a)] + [(grad_c, b0, b1, inc_c)] * bool(inc_c.size)
 
-    slot = max(sum(map(math.prod, block_arrays(tile, i1 - i0)))
-               for tile in tiles for i0, i1, _ in tile[5])
+    slot = max(sum(map(math.prod, block_arrays(tile, blocks[0][1] - blocks[0][0])))
+               for tile in tiles)
     for steps in _ordered_map(tile_increments, tiles, slot, increment_memory):
         for grad, v0, v1, increment in steps:
             grad[v0:v1] += increment
     return per_sample, grad_a, grad_c
 
 
-def _loss_terms(anchors, cands, tau, n_t, tiles, gather, shift, log_mean_exp, per_view,
-                want_grad):
+def _loss_terms(anchors, cands, tau, plan, shift, log_mean_exp, per_view, want_grad):
     """Everything made from pass 1's sums: the per-sample loss and, if
     want_grad, the negative-score coefficients (Ma, K, Mc) that pass 2 reads
     and the gradients holding the positives' terms. Every per-target array
@@ -544,7 +527,9 @@ def _loss_terms(anchors, cands, tau, n_t, tiles, gather, shift, log_mean_exp, pe
     *lead, ma, k, _ = anchors.shape
     mc = cands.shape[-3]
     rowmax = shift is not None
-    pos, neg = _pass_one(anchors, cands, tau, tiles, gather, shift)
+    targets, _, gather, _ = plan
+    n_t = targets.shape[1]
+    pos, neg = _pass_one(anchors, cands, tau, plan, shift)
     if per_view:
         neg_t = np.take(neg.reshape(*lead, -1), gather, -1)
         log_neg_t = np.log(neg_t) + (np.take(shift.reshape(*lead, -1), gather, -1) if rowmax else 0.0)
@@ -582,13 +567,14 @@ def _loss_terms(anchors, cands, tau, n_t, tiles, gather, shift, log_mean_exp, pe
     return per_sample, coeff, grad_a, grad_c
 
 
-def _pass_one(anchors, cands, tau, tiles, gather, shift):
+def _pass_one(anchors, cands, tau, plan, shift):
     """Pass 1: the positives' shifted scores (..., Ma, K, T) and the negative
     sums (..., Ma, K, Mc) of every anchor row. The folded copies of all rows
     live only here, so that the arrays made from these sums reuse their
     memory."""
     *lead, ma, k, d = anchors.shape
     mc = cands.shape[-3]
+    _, tiles, gather, blocks = plan
     c_hat = _hat(cands, None, np.empty((*lead, mc * k, d + 1)))
     a_hat = _hat(anchors, 1.0 / tau, np.empty((*lead, ma * k, d + 1))).reshape(*lead, ma, k, -1)
     neg = np.empty((*lead, ma, k, mc))
@@ -600,14 +586,14 @@ def _pass_one(anchors, cands, tau, tiles, gather, shift):
     # split over several blocks carries its running sum in the row in front
     # of each later block's scores.
     def tile_sums(tile, buffer):
-        a0, a1, b0, b1, mirrored, blocks = tile
+        a0, a1, b0, b1, mirrored = tile
         va, cols = a1 - a0, (b1 - b0) * k
-        for block in blocks:
-            i0, i1, _ = block
+        for i0, i1 in blocks:
             rows = va * (i1 - i0)
             s = buffer[:math.prod(lead) * (1 + rows) * cols].reshape(*lead, 1 + rows, cols)
             e = _exp_tile(a_hat[..., a0:a1, i0:i1, :].reshape(*lead, rows, d + 1),
-                          c_hat[..., b0 * k:b1 * k, :], k, tile, block, shift, True, s[..., 1:, :])
+                          c_hat[..., b0 * k:b1 * k, :], k, tile, (i0, i1), shift, True,
+                          s[..., 1:, :])
             neg[..., a0:a1, i0:i1, b0:b1] = e.sum(axis=-1)
             if mirrored:
                 if i0 > 0:
@@ -616,7 +602,7 @@ def _pass_one(anchors, cands, tau, tiles, gather, shift):
         if mirrored:
             neg[..., b0:b1, :, a0:a1] = np.moveaxis(carried.reshape(*lead, va, b1 - b0, k), -3, -1)
 
-    for _ in _ordered_map(tile_sums, tiles, math.prod(lead) * _pass_one_slot(tiles, k)):
+    for _ in _ordered_map(tile_sums, tiles, math.prod(lead) * _pass_one_slot(tiles, blocks, k)):
         pass
     # Positives straight from the shifted scores: (K, Ma, Mc) per-sample GEMMs.
     same = a_hat.swapaxes(-3, -2) @ np.moveaxis(c_hat.reshape(*lead, mc, k, -1), -3, -1)

@@ -68,15 +68,16 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 # Cephes ndtr.c's erf coefficients, highest power first: erf(x) =
 # x T(x^2) / U(x^2) for |x| <= 1, else 1 - exp(-x^2) P(|x|) / Q(|x|).
-# U and Q are monic; their leading 1 is left out.
+# U and Q are monic and keep their leading 1: x * 1.0 is exact, so _polevl
+# rounds them as cephes's p1evl does.
 _ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
           7.00332514112805075473E3, 5.55923013010394962768E4)
-_ERF_U = (3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+_ERF_U = (1.0, 3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
           2.26290000613890934246E4, 4.92673942608635921086E4)
 _ERF_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
           4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
           9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
-_ERF_Q = (1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+_ERF_Q = (1.0, 1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
           9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
           1.65666309194161350182E3, 5.57535340817727675546E2)
 # erf rounds to 1 from here on: 1 - erfc(6) is 1 - 2.2e-17.
@@ -195,15 +196,6 @@ def _polevl(x: np.ndarray, coef: tuple) -> np.ndarray:
     return ans
 
 
-def _p1evl(x: np.ndarray, coef: tuple) -> np.ndarray:
-    """cephes p1evl: _polevl with a leading coefficient of 1 left out."""
-    ans = x + coef[0]
-    for c in coef[1:]:
-        ans *= x
-        ans += c
-    return ans
-
-
 def _erf(x: np.ndarray) -> np.ndarray:
     """The error function by cephes's algorithm, scipy.special.erf's own.
 
@@ -222,13 +214,13 @@ def _erf(x: np.ndarray) -> np.ndarray:
     z = a * a
     out = _polevl(z, _ERF_T)
     out *= a
-    out /= _p1evl(z, _ERF_U)
+    out /= _polevl(z, _ERF_U)
     outer = np.flatnonzero(a > 1.0)
     if outer.size:
         ao = a[outer]
         tail = np.exp(-z[outer])
         tail *= _polevl(ao, _ERF_P)
-        tail /= _p1evl(ao, _ERF_Q)
+        tail /= _polevl(ao, _ERF_Q)
         out[outer] = 1.0 - tail
     np.copysign(out, flat, out=out)
     return out.reshape(x.shape)
@@ -238,8 +230,7 @@ def gelu(x: np.ndarray, dx: np.ndarray | None = None) -> np.ndarray:
     """Exact GeLU x * Phi(x) via the error function (no tanh approximation,
     so finite differences have a single ground truth). Given dx, it also
     multiplies dx in place by the derivative Phi(x) + x phi(x), taken from
-    the same erf with gelu_grad's bits: a sum or product that swaps its
-    operands rounds the same."""
+    the same erf."""
     x = np.asarray(x, dtype=np.float64)
     out = _erf(x * _INV_SQRT2)
     out += 1.0
@@ -249,13 +240,6 @@ def gelu(x: np.ndarray, dx: np.ndarray | None = None) -> np.ndarray:
         dx *= grad
     out *= 0.5 * x
     return out
-
-
-def gelu_grad(x: np.ndarray) -> np.ndarray:
-    """d/dx of exact GeLU: Phi(x) + x * phi(x)."""
-    x = np.asarray(x, dtype=np.float64)
-    phi = _INV_SQRT2PI * np.exp(-0.5 * x * x)
-    return 0.5 * (1.0 + _erf(x * _INV_SQRT2)) + x * phi
 
 
 def _first_layer(x: np.ndarray, w1, b1, dh1: np.ndarray | None = None) -> np.ndarray:

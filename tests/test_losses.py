@@ -8,6 +8,7 @@ against the library and oracle drifting together.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -36,7 +37,7 @@ from polyview.losses import (
     loss_pair_infonce,
 )
 from polyview.tinynn import finite_difference_grads, forward, init_params
-from reference import reference_losses
+from reference import reference
 
 TAU = 0.5
 
@@ -530,30 +531,58 @@ class TestSmallTemperature:
         np.testing.assert_allclose(result.per_sample, want, rtol=0, atol=1e-12)
 
 
+REFEREE_GRID = [
+    *((64, m, tau) for m in (2, 4, 10) for tau in (0.5, 1e-2, 3e-3, 2.8e-3, 1e-3)),
+    (256, 4, 0.5), (256, 4, 1e-3),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def referee_case(k, m, tau):
+    """The seed-0 initial encoder's embeddings of a Gaussian batch, and their
+    long-double losses and gradients, computed once for both halves."""
+    views = sample_batch(GaussianConfig(1.0, 0.25, k, m, 0)).views
+    z = forward(init_params(streams.stream(0, streams.INIT)), views)
+    return z, reference(z.z, tau)
+
+
 class TestLongDoubleReferee:
-    """Every objective's per-sample losses against tests/reference.py, which
-    computes them in long double from the same float64 embeddings: those of
-    the seed-0 initial encoder on a Gaussian batch. The budget is
-    C * u * (1 + 1/tau) relative, u = 2**-53: the kernel may err by the
-    rounding of its scores, which grows as 1/tau. The measured worst is
-    C = 1.26 (K = 64, M = 2, tau = 2.8e-3, infonce and multicrop); below it
-    lie 1.02 at K = 256, M = 4, tau = 0.5 and 0.99 at K = 64, M = 10,
-    tau = 0.5. C = 4 leaves a factor of three."""
+    """Every objective's per-sample losses and mean-loss z-gradients against
+    tests/reference.py, which computes them in long double from the same
+    float64 embeddings: those of the seed-0 initial encoder on a Gaussian
+    batch. The kernel may err by the rounding of its scores, which grows as
+    1/tau, so each budget is C * u * (1 + 1/tau), u = 2**-53: relative per
+    sample for the losses, and relative to the largest entry for the
+    gradients.
+    - Losses: the measured worst is C = 1.26 (K = 64, M = 2, tau = 2.8e-3,
+      infonce and multicrop); below it lie 1.02 at K = 256, M = 4,
+      tau = 0.5 and 0.99 at K = 64, M = 10, tau = 0.5. C = 4 leaves a
+      factor of three.
+    - Gradients: the measured worst is C = 4.14 (K = 64, M = 4, tau = 0.5,
+      arithmetic), then 4.02 at K = 256, M = 4 (arithmetic) and 2.83 at
+      M = 2 (arithmetic and geometric), all at tau = 0.5; every
+      tau <= 1e-2 reads C <= 0.88. C = 12 leaves a factor of three."""
 
     C = 4.0
+    C_GRAD = 12.0
 
-    @pytest.mark.parametrize("k,m,tau", [
-        *((64, m, tau) for m in (2, 4, 10) for tau in (0.5, 1e-2, 3e-3, 2.8e-3, 1e-3)),
-        (256, 4, 0.5), (256, 4, 1e-3),
-    ])
+    @pytest.mark.parametrize("k,m,tau", REFEREE_GRID)
     def test_losses_within_budget(self, k, m, tau):
-        views = sample_batch(GaussianConfig(1.0, 0.25, k, m, 0)).views
-        z = forward(init_params(streams.stream(0, streams.INIT)), views)
+        z, want = referee_case(k, m, tau)
         budget = self.C * 2.0**-53 * (1.0 + 1.0 / tau)
-        for token, want in reference_losses(z.z, tau).items():
+        for token, (losses_want, _) in want.items():
             got = compute_loss(Method.from_token(token), z, tau).per_sample
-            worst = float(np.max(np.abs(got - want) / np.abs(want)))
+            worst = float(np.max(np.abs(got - losses_want) / np.abs(losses_want)))
             assert worst <= budget, f"{token}: {worst:.3e} relative, budget {budget:.3e}"
+
+    @pytest.mark.parametrize("k,m,tau", REFEREE_GRID)
+    def test_gradients_within_budget(self, k, m, tau):
+        z, want = referee_case(k, m, tau)
+        budget = self.C_GRAD * 2.0**-53 * (1.0 + 1.0 / tau)
+        for token, (_, grad_want) in want.items():
+            got = _loss_and_zgrad(Method.from_token(token), z, tau)[1]
+            worst = float(np.max(np.abs(got - grad_want)) / np.max(np.abs(grad_want)))
+            assert worst <= budget, f"{token}: {worst:.3e} of the largest entry, budget {budget:.3e}"
 
 
 class TestTiling:

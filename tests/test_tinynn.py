@@ -28,7 +28,6 @@ from polyview.tinynn import (
     finite_difference_grads,
     forward,
     gelu,
-    gelu_grad,
     init_params,
     loss_and_grads,
     max_relative_grad_error,
@@ -51,6 +50,13 @@ def rng_for(case: int) -> np.random.Generator:
 
 def random_views(k: int, m: int, case: int) -> np.ndarray:
     return rng_for(1000 + case).normal(0.0, 1.0, size=(k, m))
+
+
+def gelu_grad(x: np.ndarray) -> np.ndarray:
+    """d/dx of exact GeLU: Phi(x) + x * phi(x)."""
+    x = np.asarray(x, dtype=np.float64)
+    phi = tinynn._INV_SQRT2PI * np.exp(-0.5 * x * x)
+    return 0.5 * (1.0 + tinynn._erf(x * tinynn._INV_SQRT2)) + x * phi
 
 
 def loop_finite_difference_grads(params, views, method, tau, h=1e-6, set_losses=None):
