@@ -26,24 +26,18 @@ def offset_c(k: int, m: int) -> float:
 
 
 def bound_from_loss(method: Method, loss: float, k: int, m: int) -> float:
-    """MI lower-bound estimate: method-appropriate offset minus the loss.
+    """MI lower-bound estimate: ln K if method.pairwise, else offset_c(k, m), minus the loss.
 
     Collapsed embeddings drive each loss to exactly its offset, so a
     collapsed run reports bound 0.
     """
-    if method in (Method.ARITHMETIC_PVC, Method.GEOMETRIC_PVC, Method.SUFFSTATS):
+    if not isinstance(method, Method):
+        raise ValueError(f"unknown method: {method!r}")
+    if not method.pairwise:
         return offset_c(k, m) - loss
-    if method in (Method.INFONCE, Method.MULTICROP):
-        if k < 1:
-            raise ValueError(f"need K >= 1, got {k}")
-        return math.log(k) - loss
-    raise ValueError(f"unknown method: {method!r}")
-
-
-def mi_gap(true_mi: float, bound: float) -> float:
-    """Signed gap true_mi - bound. Noisy estimates may come out negative;
-    callers flag that rather than clamping."""
-    return true_mi - bound
+    if k < 1:
+        raise ValueError(f"need K >= 1, got {k}")
+    return math.log(k) - loss
 
 
 def variance_bound_factor(m: int) -> float:

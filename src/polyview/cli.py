@@ -139,9 +139,14 @@ def _run_spec(args, method: Method, **settings) -> RunSpec:
                    sigma_sq=args.sigma_sq, tau=args.tau, seed=args.seed, **settings)
 
 
+def _check_out_dir(command: str, out: str) -> None:
+    """Refuse, before any work, an --out whose directory does not exist."""
+    if not os.path.isdir(os.path.dirname(out) or "."):
+        raise _UsageError(f"{command}: the directory of --out {out} does not exist")
+
+
 def _cmd_train(args) -> int:
-    if not os.path.isdir(os.path.dirname(args.out) or "."):
-        raise _UsageError(f"train: the directory of --out {args.out} does not exist")
+    _check_out_dir("train", args.out)
     if os.path.isdir(args.out):
         raise _UsageError(f"train: --out {args.out} is a directory; name the CSV file")
     spec = _run_spec(
@@ -192,6 +197,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    _check_out_dir("report", args.out)
     dat_path = os.path.splitext(args.out)[0] + ".dat"
     if dat_path == args.out:
         raise _UsageError(f"report: --out {args.out} is also the path of its .dat table")
@@ -205,8 +211,7 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_fingerprint(args) -> int:
-    if not os.path.isdir(os.path.dirname(args.out) or "."):
-        raise _UsageError(f"fingerprint: the directory of --out {args.out} does not exist")
+    _check_out_dir("fingerprint", args.out)
     fingerprint = write_fingerprint(args.out)
     print(f"wrote {args.out} ({len(fingerprint['digests'])} step digests)")
     return 0

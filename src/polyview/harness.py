@@ -47,7 +47,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import streams
-from .bounds import bound_from_loss, mi_gap, variance_bound_factor
+from .bounds import bound_from_loss, variance_bound_factor
 from .gaussian_world import (
     GaussianConfig,
     mi_via_gaussian_kl,
@@ -57,7 +57,7 @@ from .gaussian_world import (
 from .losses import (
     EmbeddingBatch,
     Method,
-    _check_tau,
+    _check_objective,
     _map_batches,
     _NumericalError,
     compute_loss,
@@ -103,9 +103,7 @@ class RunSpec:
         self.gaussian()  # checks M, the variances and the seed
         if self.k < 2:
             raise ValueError(f"need K >= 2, got {self.k}")
-        if self.method is Method.INFONCE and self.m != 2:
-            raise ValueError(f"infonce requires M = 2, got M = {self.m}")
-        _check_tau(self.tau)
+        _check_objective(self.method, self.m, self.tau)
         if self.eval_batches < 1:
             raise ValueError(f"eval_batches must be >= 1, got {self.eval_batches}")
         if self.record_stride < 1:
@@ -126,7 +124,8 @@ class RunSpec:
 @dataclass(frozen=True)
 class RunRow:
     """One recorded epoch. train_loss is None at epoch 0 (nothing trained
-    yet); relative_mi is None when the bound is not positive."""
+    yet); gap = true_mi - bound is signed and never clamped; relative_mi is
+    None when the bound is not positive."""
 
     method: str
     m: int
@@ -240,7 +239,7 @@ def _eval_row(spec: RunSpec, params, epoch: int, train_loss: float | None) -> Ru
         eval_loss=eval_loss,
         bound=bound,
         true_mi=true_mi,
-        gap=mi_gap(true_mi, bound),
+        gap=true_mi - bound,
         relative_mi=rel,
     )
 
@@ -298,18 +297,16 @@ class SweepSpec:
     jobs: int = 1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "methods", tuple(self.methods))
-        object.__setattr__(self, "m_values", tuple(self.m_values))
-        object.__setattr__(self, "seeds", tuple(self.seeds))
+        for name in ("methods", "m_values", "seeds"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if not (self.methods and self.m_values and self.seeds):
             raise ValueError("methods, m_values, and seeds must be non-empty")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ValueError("seeds must be distinct")
-        if len(set(self.m_values)) != len(self.m_values):
-            raise ValueError("m_values must be distinct")
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        self.expand()  # validates every combination via RunSpec
+        files = [run_path("", spec) for spec in self.expand()]  # RunSpec checks each run
+        if len(set(files)) != len(files):
+            raise ValueError(f"methods, m_values and seeds must be distinct: two runs would "
+                             f"write {next(f for f in files if files.count(f) > 1)}")
 
     def expand(self) -> list[RunSpec]:
         shared = {name: getattr(self, name) for name in _SHARED_SETTINGS}
@@ -383,8 +380,6 @@ def run_path(out_dir: str, spec: RunSpec) -> str:
 
 
 def _is_complete(path: str, spec: RunSpec) -> bool:
-    if not os.path.exists(path):
-        return False
     try:
         rows = read_csv_rows(path)
     except (ValueError, OSError):
@@ -563,7 +558,8 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
 def aggregate(in_dir: str) -> AggregateTable:
     """Group final-epoch rows of every per-run CSV by (method, M) and report
     mean/std over seeds of bound, gap, and relative_mi. Groups with a single
-    seed report std = 0 and are flagged."""
+    seed report std = 0 and are flagged. A group whose runs differ in K or
+    in their final epoch, or repeat a seed, is refused."""
     paths = sorted(
         os.path.join(in_dir, name)
         for name in os.listdir(in_dir)
@@ -581,6 +577,9 @@ def aggregate(in_dir: str) -> AggregateTable:
 
     out = []
     for (method, m), finals in sorted(groups.items()):
+        if len({(r.k, r.epoch) for r in finals}) > 1 or len({r.seed for r in finals}) < len(finals):
+            raise ValueError(f"{in_dir}: the {method} M = {m} runs mix K or final epochs, "
+                             f"or repeat a seed")
         bounds_ms = _mean_std([r.bound for r in finals])
         gaps_ms = _mean_std([r.gap for r in finals])
         rels = [r.relative_mi for r in finals if r.relative_mi is not None]

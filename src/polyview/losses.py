@@ -19,7 +19,10 @@ statistics), leaves every same-sample candidate out of the negative sums
 (its score becomes -inf before exp under either shift rule), takes each
 positive straight from its score, and aggregates the per-target
 log-likelihoods by their mean or log-mean-exp (one target: the mean of one).
-One routine, _normalize_rows, normalizes every row here and in the encoder.
+Method.pairwise says which objectives keep negatives in the positive's
+view. Every caller, the encoder's step and gradient oracle too, reaches the
+kernel through one gate, _view_major, which checks the objective and copies
+the rows; _normalize_rows normalizes every row here and in the encoder.
 
 Shift rule: unit rows keep every score in [-1/tau, 1/tau]. Anchors scaled
 by 1/tau get a column -1/tau and candidates a column of ones, so the score
@@ -148,6 +151,11 @@ class Method(enum.Enum):
     GEOMETRIC_PVC = "geometric"
     SUFFSTATS = "suffstats"
 
+    @property
+    def pairwise(self) -> bool:
+        """K candidates per target, negatives only in the positive's view (else KM - M + 1)."""
+        return self in (Method.INFONCE, Method.MULTICROP)
+
     @classmethod
     def from_token(cls, token: str) -> "Method":
         for method in cls:
@@ -225,7 +233,12 @@ def _through_normalize(grad: np.ndarray, unit: np.ndarray, norms: np.ndarray) ->
     return grad
 
 
-def _check_tau(tau: float) -> None:
+def _check_objective(method: Method, m: int, tau: float) -> None:
+    """Refuse a method that is not a Method, infonce at M != 2, and a bad tau."""
+    if not isinstance(method, Method):
+        raise ValueError(f"unknown method: {method!r}")
+    if method is Method.INFONCE and m != 2:
+        raise ValueError(f"infonce requires M = 2, got M = {m}")
     if not (isinstance(tau, (int, float)) and MIN_TAU <= tau < math.inf):
         raise ValueError(f"temperature tau must be a finite real >= {MIN_TAU:.3g}, at which "
                          f"squared losses cannot overflow, got {tau}")
@@ -429,23 +442,23 @@ def _exp_tile(a_hat, c_hat, k, tile, block, shift, fill, s):
     return np.exp(e, out=e)
 
 
-def _candidate_set_loss(anchors, cands, tau, others, log_mean_exp, per_view, want_grad):
+def _candidate_set_loss(anchors, cands, tau, log_mean_exp, per_view, want_grad):
     """Per-sample loss and optional gradients of one candidate-set objective.
 
     anchors (Ma, K, d) and cands (Mc, K, d) are view-major unit rows; pass
     the same array for both when the candidates are the anchor views. A
     loss-only call may stack batches on leading axes of both. The
     positives of anchor (alpha, i) are its own sample's candidates in every
-    other view (others) or in view alpha. Its negatives are the candidates
-    of every other sample: in the positive's view only (per_view), or in
-    every view. Returns (per_sample, grad_anchors, grad_cands); the two
-    gradients are one array when anchors is cands. What a call holds through
-    each pass is set out in the module docstring.
+    other view when cands is anchors, else in view alpha. Its negatives are
+    the candidates of every other sample: in the positive's view only
+    (per_view), or in every view. Returns (per_sample, grad_anchors,
+    grad_cands); the two gradients are one array when anchors is cands. What
+    a call holds through each pass is set out in the module docstring.
     """
     *lead, ma, k, d = anchors.shape
     rowmax = 2.0 / tau > _SHIFT_LIMIT
     symmetric = cands is anchors and not rowmax
-    plan = _plan(others, per_view, ma, cands.shape[-3], k, symmetric, _ROW_BLOCK)
+    plan = _plan(cands is anchors, per_view, ma, cands.shape[-3], k, symmetric, _ROW_BLOCK)
     _, tiles, _, blocks = plan
     shift = np.zeros((*lead, ma, k, cands.shape[-3])) if rowmax else None
     per_sample, coeff, grad_a, grad_c = _loss_terms(
@@ -617,17 +630,14 @@ def _pass_one(anchors, cands, tau, plan, shift):
 def loss_pair_infonce(z: EmbeddingBatch, alpha: int, beta: int, tau: float) -> LossResult:
     """K-way softmax InfoNCE: anchor view alpha, candidates view beta of
     every sample. Collapsed embeddings give ln K."""
-    _check_tau(tau)
     for name, view in (("alpha", alpha), ("beta", beta)):
         if not 0 <= view < z.m:
             raise ValueError(f"{name} must be in [0, {z.m}), got {view}")
     if alpha == beta:
         raise ValueError(f"alpha and beta must differ, both are {alpha}")
-    zt = z.z.transpose(1, 0, 2)
-    per_sample, _, _ = _candidate_set_loss(
-        zt[alpha:alpha + 1], zt[beta:beta + 1], tau, False, False, True, False
-    )
-    return LossResult.from_per_sample(per_sample)
+    zt = _view_major(Method.INFONCE, z.z[:, (alpha, beta)], tau)
+    return LossResult.from_per_sample(_candidate_set_loss(zt[:1], zt[1:], tau, False, True,
+                                                          False)[0])
 
 
 def compute_loss(method: Method, z: EmbeddingBatch, tau: float) -> LossResult:
@@ -641,35 +651,32 @@ def compute_loss(method: Method, z: EmbeddingBatch, tau: float) -> LossResult:
 
 def _loss_and_zgrad(method: Method, z: EmbeddingBatch, tau: float, want_grad: bool = True):
     """Loss plus (optionally) its exact gradient with respect to z."""
-    per_sample, grad = _per_sample_loss(method, _view_major(method, z, tau), tau, want_grad)
+    per_sample, grad = _per_sample_loss(method, _view_major(method, z.z, tau), tau, want_grad)
     result = LossResult.from_per_sample(per_sample)
     return result, (grad.transpose(1, 0, 2).copy() if want_grad else None)
 
 
-def _view_major(method: Method, z: EmbeddingBatch, tau: float) -> np.ndarray:
-    """The view-major copy (M, K, d) of z's rows that the kernel scores, once
-    method and tau are checked against z."""
-    _check_tau(tau)
-    if method is Method.INFONCE and z.m != 2:
-        raise ValueError(f"infonce requires exactly M = 2 views, got M = {z.m}")
-    if not isinstance(method, Method):
-        raise ValueError(f"unknown method: {method!r}")
-    return z.z.transpose(1, 0, 2).copy()
+def _view_major(method: Method, z: np.ndarray, tau: float) -> np.ndarray:
+    """The view-major copy (..., M, K, d) of unit rows z (..., K, M, d), any
+    leading axes holding parameter sets, that the kernel scores, once
+    _check_objective accepts method, M and tau."""
+    _check_objective(method, z.shape[-2], tau)
+    return np.swapaxes(z, -3, -2).copy()
 
 
 def _per_sample_loss(method: Method, zt: np.ndarray, tau: float, want_grad: bool):
     """Per-sample losses (..., K) of view-major unit rows zt (..., M, K, d),
     and the gradient w.r.t. zt of a single batch (M, K, d) if want_grad."""
     if method is not Method.SUFFSTATS:
-        return _candidate_set_loss(zt, zt, tau, True, method is Method.ARITHMETIC_PVC,
-                                   method in (Method.INFONCE, Method.MULTICROP), want_grad)[:2]
+        return _candidate_set_loss(zt, zt, tau, method is Method.ARITHMETIC_PVC,
+                                   method.pairwise, want_grad)[:2]
     # Candidates: rest-set statistics q_v = normalize((sum_b z_b - z_v) / (M-1)).
     m = zt.shape[-3]
     q = zt.sum(axis=-3, keepdims=True) - zt
     q /= m - 1
     u_norms = _normalize_rows(
         q, "rest-set mean has near-zero norm (antipodal views); cannot normalize")
-    per_sample, grad, grad_q = _candidate_set_loss(zt, q, tau, False, False, False, want_grad)
+    per_sample, grad, grad_q = _candidate_set_loss(zt, q, tau, False, False, want_grad)
     if want_grad:
         grad_u = _through_normalize(grad_q, q, u_norms)
         grad += (grad_u.sum(axis=0) - grad_u) / (m - 1)

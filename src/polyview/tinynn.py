@@ -7,13 +7,13 @@ importing the package loads no scipy: its bits are scipy's on |x| <= 1 and
 follow numpy's exp beyond. All gradients (through normalization, scoring,
 and each contrastive loss) are derived by hand and checked against the
 central finite-difference oracle in this module; no autodiff anywhere. The
-oracle scores every perturbed parameter set through the same encoder and
-loss kernel, 128 sets per pass on a leading set axis, serially in the
-calling thread. Every pass that perturbs only w2 or b2 shares the one
-unperturbed first layer; a pass that perturbs w1 or b1 runs the first layer
-on its weight stacks. A pass frees its weight stacks and embeddings before
-its kernel pass, and the forward pass works in place where the bits cannot
-change, so the wide passes stay small.
+oracle scores only the perturbed parameter sets, through the same encoder,
+gate (losses._view_major) and kernel, 128 sets per pass on a leading set
+axis, serially in the calling thread. Every pass that perturbs only w2 or b2
+shares the one unperturbed first layer; a pass that perturbs w1 or b1 runs
+the first layer on its weight stacks. A pass frees its weight stacks and
+embeddings before its kernel pass, and the forward pass works in place where
+the bits cannot change, so the wide passes stay small.
 
 The first layer runs in row chunks of at most _ERF_BLOCK entries across
 any parameter-set axis, written into one array, so the erf's temporaries
@@ -47,7 +47,7 @@ from .losses import (
     _per_sample_loss,
     _through_normalize,
     _view_major,
-    compute_loss,
+    compute_loss,  # unused here; perfbench/ patches and calls tinynn.compute_loss
 )
 
 D_IN = 1
@@ -268,10 +268,10 @@ def _forward_trace(views: np.ndarray, w1, b1, w2, b2):
 
 
 def _checked_views(views) -> np.ndarray:
-    """views as a float64 (K, M) array; refused unless 2-D and finite."""
+    """views as a float64 (K, M) array; refused unless finite with K, M >= 2."""
     views = np.asarray(views, dtype=np.float64)
-    if views.ndim != 2:
-        raise ValueError(f"views must be (K, M), got shape {views.shape}")
+    if views.ndim != 2 or min(views.shape) < 2:
+        raise ValueError(f"views must be (K, M) with K, M >= 2, got shape {views.shape}")
     if not np.isfinite(views).all():
         raise _NumericalError("views contain non-finite values")
     return views
@@ -316,7 +316,7 @@ def loss_and_grads(
     its exact gradient with respect to every parameter, in MlpParams shape."""
     x, norms, z = _forward_trace(views, **params.as_dict())
     # The kernel scores the view-major copy; z dies before it runs.
-    zt = _view_major(method, EmbeddingBatch(z=z), tau)
+    zt = _view_major(method, EmbeddingBatch(z=z).z, tau)
     del z
     per_sample, dz = _per_sample_loss(method, zt, tau, True)
 
@@ -353,20 +353,15 @@ def finite_difference_grads(
     the same checks on each set and the same bits at any width, but
     _FD_CHUNK sets at a time: each group takes one stacked encoder pass and
     one loss-kernel pass, and a group that perturbs only the second layer
-    shares one first layer. Meant for small batches only.
+    shares one first layer. No unperturbed set is scored: the first group
+    refuses what a loop's first evaluation would. Meant for small batches.
     """
     if not 0 < h < math.inf:
         raise ValueError(f"h must be positive and finite, got {h}")
-    # One unperturbed evaluation checks the views, method and tau as the
-    # first evaluation of a per-entry loop would.
-    compute_loss(method, forward(params, views), tau)
     losses = _perturbed_losses(params.as_dict(), views, method, tau, h)
-    grads = (losses[0::2] - losses[1::2]) / (2.0 * h)
-    out, start = {}, 0
-    for name in _PARAM_FIELDS:
-        arr = getattr(params, name)
-        out[name] = grads[start:start + arr.size].reshape(arr.shape)
-        start += arr.size
+    grads, out = (losses[0::2] - losses[1::2]) / (2.0 * h), {}
+    for name, arr in params.as_dict().items():
+        out[name], grads = grads[:arr.size].reshape(arr.shape), grads[arr.size:]
     return MlpParams(**out)
 
 
@@ -396,7 +391,7 @@ def _perturbed_losses(base: dict, views, method: Method, tau: float, h: float) -
         # EmbeddingBatch checks each row, so one batch of every set's samples
         # checks the whole pass.
         EmbeddingBatch(z=z.reshape(-1, *z.shape[-2:]))
-        zt = np.ascontiguousarray(np.swapaxes(z, -3, -2))
+        zt = _view_major(method, z, tau)
         del z
         losses[sets] = _per_sample_loss(method, zt, tau, False)[0].mean(axis=-1)
     return losses

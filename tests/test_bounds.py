@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from polyview.bounds import (
     bound_from_loss,
-    mi_gap,
     offset_c,
     optimal_multiplicity,
     variance_bound_factor,
@@ -72,17 +71,6 @@ class TestBoundFromLoss:
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
             bound_from_loss(Method.MULTICROP, 1.0, 0, 2)
-
-
-class TestMiGap:
-    def test_equal_inputs_give_zero(self):
-        assert mi_gap(0.7, 0.7) == 0.0
-
-    def test_collapsed_bound_gives_full_mi(self):
-        assert mi_gap(0.51, 0.0) == 0.51
-
-    def test_signed_never_clamped(self):
-        assert mi_gap(0.5, 0.6) == pytest.approx(-0.1, abs=1e-15)
 
 
 class TestVarianceFactor:

@@ -411,6 +411,18 @@ class TestReport:
         assert err.startswith("error:") and "missing_dir" in err
         assert not out.exists()
 
+    def test_missing_out_directory_refused_before_reading(self, tmp_path, capsys, fake_runs,
+                                                            monkeypatch):
+        def no_aggregate(in_dir):
+            raise AssertionError("aggregated before checking --out")
+
+        monkeypatch.setattr(cli, "aggregate", no_aggregate)
+        out = tmp_path / "nodir" / "x.csv"
+        assert main(["report", "--in", str(fake_runs), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: report: the directory of --out {out} does not exist\n")
+        assert not out.parent.exists()
+
     def test_empty_dir_is_usage_error(self, tmp_path, capsys):
         runs = tmp_path / "runs"
         runs.mkdir()

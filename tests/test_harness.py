@@ -89,6 +89,13 @@ class TestRunSpec:
         with pytest.raises(ValueError):
             tiny_spec(**kw)
 
+    def test_method_must_be_a_method(self):
+        # A token is refused here, not by an AttributeError in run_sweep.
+        with pytest.raises(ValueError, match="^unknown method: 'geometric'$"):
+            RunSpec(method="geometric", m=4)
+        with pytest.raises(ValueError, match="^unknown method: 'geometric'$"):
+            SweepSpec(methods=("geometric",), m_values=(2,), seeds=(0,))
+
     @pytest.mark.parametrize("name", ["sigma0_sq", "sigma_sq"])
     def test_infinite_variance_refused_as_not_finite(self, name):
         with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got inf$"):
@@ -437,6 +444,14 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="eval_batches 65537 exceeds"):
             SweepSpec.from_json_dict({**self.make().to_json_dict(), "eval_batches": 65537})
 
+    def test_duplicate_methods_refused(self):
+        # Both runs would write geometric_m02_seed0000.csv.
+        data = {**self.make().to_json_dict(), "methods": ["geometric", "geometric"],
+                "m_values": [2], "seeds": [0]}
+        with pytest.raises(ValueError, match="distinct: two runs would write "
+                                             "geometric_m02_seed0000.csv$"):
+            SweepSpec.from_json_dict(data)
+
 
 @pytest.fixture(scope="module")
 def sweep_dir(tmp_path_factory):
@@ -723,6 +738,20 @@ class TestAggregate:
         assert row.gap_std == 0.0 and row.bound_std == 0.0
         if row.relative_mi_mean is not None:
             assert row.relative_mi_std == 0.0
+
+    @pytest.mark.parametrize("second, name", [
+        (dict(k=16, seed=1), "b.csv"), (dict(train=TrainConfig(epochs=3), seed=1), "b.csv"),
+        ({}, "copy.csv")],
+        ids=["mixed-k", "mixed-final-epoch", "repeated-seed"])
+    def test_mixed_group_refused(self, tmp_path, second, name):
+        # One (method, M) group must hold one K, one final epoch and
+        # distinct seeds; otherwise its means would mix runs of other settings.
+        first = tiny_spec(method=Method.GEOMETRIC_PVC, train=TrainConfig(epochs=2))
+        run_training(first).write(str(tmp_path / "a.csv"))
+        run_training(replace(first, **second)).write(str(tmp_path / name))
+        with pytest.raises(ValueError, match=r"the geometric M = 2 runs mix K or final epochs, "
+                                             r"or repeat a seed$"):
+            aggregate(str(tmp_path))
 
     def test_empty_dir_rejected(self, tmp_path):
         (tmp_path / "sweep.json").write_text("{}\n")

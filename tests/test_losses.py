@@ -32,6 +32,7 @@ from polyview.losses import (
     Method,
     _loss_and_zgrad,
     _per_sample_loss,
+    _view_major,
     compute_loss,
     l2_normalize,
     loss_pair_infonce,
@@ -330,6 +331,33 @@ class TestIdentities:
             assert Method.from_token(method.value) is method
         with pytest.raises(ValueError):
             Method.from_token("simclr")
+
+    def test_pairwise_family(self):
+        # K candidates per target, negatives only in the positive's view.
+        assert [method for method in Method if method.pairwise] == [Method.INFONCE,
+                                                                    Method.MULTICROP]
+
+    def test_every_route_refuses_through_one_check(self):
+        # _view_major is the gate: each route to the kernel refuses a bad
+        # objective with _check_objective's one message.
+        batch = random_embedding_batch(3, 3, 2, case=43)
+        routes = (lambda method, tau: compute_loss(method, batch, tau),
+                  lambda method, tau: _loss_and_zgrad(method, batch, tau),
+                  lambda method, tau: _view_major(method, np.stack([batch.z] * 2), tau))
+        for route in routes:
+            for method, tau, message in (
+                    (Method.INFONCE, TAU, "infonce requires M = 2, got M = 3"),
+                    ("geometric", TAU, "unknown method: 'geometric'"),
+                    (Method.GEOMETRIC_PVC, 0.0, "temperature tau must be a finite real")):
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+                    route(method, tau)
+
+    def test_view_major_keeps_leading_set_axes(self):
+        batches = [random_embedding_batch(4, 3, 2, case=45 + j) for j in range(3)]
+        zt = _view_major(Method.GEOMETRIC_PVC, np.stack([b.z for b in batches]), TAU)
+        assert zt.shape == (3, 3, 4, 2) and zt.flags.c_contiguous
+        for batch, one in zip(batches, zt):
+            assert np.array_equal(one, batch.z.transpose(1, 0, 2))
 
 
 class TestCollapseSentinels:

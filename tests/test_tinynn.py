@@ -9,6 +9,7 @@ units are active, making the algebra short enough to do on paper.
 from __future__ import annotations
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -482,10 +483,10 @@ class TestBatchedOracle:
     @pytest.mark.parametrize("h", [0.0, -1e-6, float("nan"), float("inf")])
     def test_step_must_be_positive_and_finite(self, monkeypatch, h):
         # Refused before the oracle evaluates anything.
-        def no_forward(*args):
+        def no_evaluation(*args):
             raise AssertionError("evaluated before checking h")
 
-        monkeypatch.setattr(tinynn, "forward", no_forward)
+        monkeypatch.setattr(tinynn, "_perturbed_losses", no_evaluation)
         with pytest.raises(ValueError, match=r"^h must be positive and finite, got"):
             finite_difference_grads(init_params(rng_for(21)), random_views(3, 2, case=11),
                                     Method.MULTICROP, 0.5, h=h)
@@ -528,6 +529,39 @@ class TestBatchedOracle:
         finite_difference_grads(params, random_views(3, 3, case=11), Method.MULTICROP, 0.5)
         for name in PARAM_NAMES:
             np.testing.assert_array_equal(getattr(params, name), before[name])
+
+    def test_scores_only_the_perturbed_sets(self, monkeypatch):
+        # No unperturbed evaluation: the oracle calls neither name, and its
+        # bits are those of an unpatched call.
+        params = init_params(rng_for(26))
+        views = random_views(4, 3, case=15)
+        want = finite_difference_grads(params, views, Method.SUFFSTATS, 0.5)
+
+        def refuse(*args):
+            raise AssertionError("the oracle evaluated an unperturbed set")
+
+        monkeypatch.setattr(tinynn, "forward", refuse)
+        monkeypatch.setattr(tinynn, "compute_loss", refuse)
+        got = finite_difference_grads(params, views, Method.SUFFSTATS, 0.5)
+        for name in PARAM_NAMES:
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+    def test_first_pass_refuses_as_the_loop_does(self):
+        # The first pass refuses, with the loop's message, what the loop's
+        # first evaluation refuses: views of one sample, and through the
+        # gate, an unknown method, infonce at M = 3 and a bad tau.
+        params = init_params(rng_for(27))
+        for views, method, tau, message in (
+                (random_views(1, 3, case=16), Method.GEOMETRIC_PVC, 0.5,
+                 "views must be (K, M) with K, M >= 2, got shape (1, 3)"),
+                (random_views(3, 2, case=16), "geometric", 0.5, "unknown method: 'geometric'"),
+                (random_views(3, 3, case=16), Method.INFONCE, 0.5,
+                 "infonce requires M = 2, got M = 3"),
+                (random_views(3, 2, case=16), Method.MULTICROP, 1e-310,
+                 "temperature tau must be a finite real")):
+            for oracle in (loop_finite_difference_grads, finite_difference_grads):
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+                    oracle(params, views, method, tau)
 
     def test_same_errors_as_loop(self):
         params = init_params(rng_for(22))
