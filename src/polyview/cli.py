@@ -140,15 +140,15 @@ def _run_spec(args, method: Method, **settings) -> RunSpec:
 
 
 def _check_out_dir(command: str, out: str) -> None:
-    """Refuse, before any work, an --out whose directory does not exist."""
+    """Refuse, before any work, an --out that is a directory or whose directory is missing."""
     if not os.path.isdir(os.path.dirname(out) or "."):
         raise _UsageError(f"{command}: the directory of --out {out} does not exist")
+    if os.path.isdir(out):
+        raise _UsageError(f"{command}: --out {out} is a directory; name the file")
 
 
 def _cmd_train(args) -> int:
     _check_out_dir("train", args.out)
-    if os.path.isdir(args.out):
-        raise _UsageError(f"train: --out {args.out} is a directory; name the CSV file")
     spec = _run_spec(
         args,
         Method.from_token(args.method),

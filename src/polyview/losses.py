@@ -56,32 +56,28 @@ blocks in block order, which rounds otherwise than one GEMM over all rows
 Threads: one ordered map, `_ordered_map`, runs two kinds of work on one
 pool of threads: the view tiles of a kernel call (in pass 1 a tile's
 blocks of score GEMM, mask, exp and sums, in pass 2 their gradient
-products), and whole-batch
-tasks, the independent held-out batches of an evaluation row or a study,
-each drawn, encoded and scored by one task. The pool is made at the first
-map with several items, as wide as OpenBLAS's thread count then; from then
-on OpenBLAS runs one thread, so the pool takes over its cores. The calling
-thread keeps the serial order: results come back in item order, so it
-adds each tile's gradient increments in tile order and reduces the
-batches' values in batch order; a pass-1 tile writes its sums and shifts
-into slices of the call's arrays that no other tile writes. Each item's
-arithmetic is the same whichever thread runs it, and OpenBLAS splits a
-GEMM between its threads by blocks of the output, never within a dot
-product, so every output bit is the same at any width. Without a handle on
-numpy's OpenBLAS the width is 1 and the items run in order on the calling
-thread; so do single-item maps.
+products), and whole-batch tasks, the independent held-out batches of an
+evaluation row or a study, each drawn, encoded and scored by one task. The
+pool is made at the first map with several items, as wide as OpenBLAS's
+thread count then; from then on OpenBLAS runs one thread, so the pool takes
+over its cores, and glibc's malloc keeps one arena, so every thread
+allocates from one heap. The calling thread keeps the serial order: results
+come back in item order, so it adds each tile's gradient increments in tile
+order and reduces the batches' values in batch order; a pass-1 tile writes
+its sums and shifts into slices of the call's arrays that no other tile
+writes. Each item's arithmetic is the same whichever thread runs it, and
+OpenBLAS splits a GEMM between its threads by blocks of the output, never
+within a dot product, so every output bit is the same at any width.
+Without a handle on numpy's OpenBLAS the width is 1 and the items run in
+order on the calling thread; so do single-item maps.
 
 Two rules hold for the tasks. Nested calls run serially: a kernel call
 inside a task runs its tiles one after another on the task's thread, since
 a task that waited on its own pool would deadlock once every pool thread
-did the same. Memory comes from the calling thread: it allocates one
-buffer (a slot) per pool thread, sized for the largest tile of the map, and
-a task's kernel calls use its slot (a batch task's slot fits the pass-1
-blocks of loss-only calls at the batch's (K, M)); it also allocates each
-pass-2 tile's increments as it submits the tile. Memory that threads
-allocated themselves would grow one malloc arena per thread and raise the
-peak memory: at K = 1024 and M = 10, pass-2 operands and increments made
-on two pool threads cost about 10 MiB of peak RSS.
+did the same. Each map holds one buffer (a slot) per pool thread, sized for
+the largest tile of the map, and a task's kernel calls use its slot (a
+batch task's slot fits the pass-1 blocks of loss-only calls at the batch's
+(K, M)).
 
 Memory: a kernel call keeps one copy of each array that a pass reads.
 Through pass 1 it holds, besides its inputs and slots, the folded rows of
@@ -307,7 +303,8 @@ def _openblas_thread_calls():
 
 def _tile_pool():
     """(width, executor or None): the tile threads, made on first use as wide
-    as OpenBLAS's thread count, which is then set to one."""
+    as OpenBLAS's thread count, which is then set to one, as is glibc's limit
+    on malloc arenas before any pool thread starts (where it has mallopt)."""
     global _pool
     with _pool_lock:
         if _pool is None:
@@ -315,6 +312,9 @@ def _tile_pool():
             width = max(1, calls[0]()) if calls else 1
             if calls:
                 calls[1](1)
+            mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if width > 1 else None
+            if mallopt is not None:
+                mallopt(-8, 1)  # M_ARENA_MAX
             _pool = (width, ThreadPoolExecutor(width, "polyview-tile") if width > 1 else None)
         return _pool
 
@@ -333,16 +333,15 @@ if hasattr(os, "register_at_fork"):
 
 def _ordered_map(fn, items, size, prepare=None):
     """Yield fn(prepare(item), buffer) for each item, in item order (prepare
-    defaults to the identity). Several items run on the tile pool, each in a
-    copy of the caller's context (numpy's error state is in it), with up to
-    twice its width submitted, so that a thread the host delays holds up the
-    others less. The calling thread allocates one buffer of size floats per
-    pool thread, and a running item takes a free one; it also runs prepare,
-    as each item is submitted, so memory that prepare allocates for an
-    item's results comes from the calling thread too. An item on the pool is
-    a task: a map inside it runs serially on the task's thread, with the
-    task's buffer. If items raise, the first one's error in item order is
-    raised and the items not yet started are cancelled."""
+    defaults to the identity, and runs on the calling thread as each item is
+    submitted). Several items run on the tile pool, each in a copy of the
+    caller's context (numpy's error state is in it), with up to twice its
+    width submitted, so that a thread the host delays holds up the others
+    less. The map holds one buffer of size floats per pool thread, and a
+    running item takes a free one. An item on the pool is a task: a map
+    inside it runs serially on the task's thread, with the task's buffer. If
+    items raise, the first one's error in item order is raised and the items
+    not yet started are cancelled."""
     prepare = prepare or (lambda item: item)
     inside = _task_buffer.get()
     width, pool = _tile_pool() if len(items) > 1 and inside is None else (1, None)
@@ -476,7 +475,8 @@ def _candidate_set_loss(anchors, cands, tau, log_mean_exp, per_view, want_grad):
     # its candidate and anchor rows into the front of its slot, and each
     # block makes W behind them. A tile writes its increments (gradient,
     # first view, last view + 1, value) into memory that the calling thread
-    # takes as it submits the tile, and they are added in tile order.
+    # takes as it submits the tile (fig3-m10 read slower in one of two
+    # series with the tiles taking it), and they are added in tile order.
     def increment_shapes(tile):
         # The rows' increments, and the columns' if any.
         va, vb = tile[1] - tile[0], tile[3] - tile[2]

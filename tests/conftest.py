@@ -9,11 +9,16 @@ serve as independent oracles.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import polyview
 from polyview import losses, streams
 from polyview.losses import EmbeddingBatch
 
@@ -57,6 +62,18 @@ def at_width(monkeypatch, width, compute):
     finally:
         if pool is not None:
             pool.shutdown()
+
+
+def fresh_python(*args: str, timeout: float = 120, **env: str) -> subprocess.CompletedProcess:
+    """Run `python *args` in a fresh interpreter that imports the package
+    this suite imports: its src directory leads PYTHONPATH (pytest's
+    `pythonpath` setting puts it on sys.path but not in the environment),
+    and env adds to the environment. Returns the finished process, with its
+    output as text."""
+    src = str(Path(polyview.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, **env, "PYTHONPATH": path}, timeout=timeout)
 
 
 @pytest.fixture

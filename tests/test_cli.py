@@ -11,12 +11,12 @@ import json
 import os
 import shutil
 import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import fresh_python
 from polyview import cli, harness
 from polyview.cli import main
 from polyview.harness import (
@@ -185,7 +185,8 @@ class TestTrain:
             ["train", "--method", "geometric", "--m", "2", "--k", "8",
              "--out", str(out) + suffix]
         ) == 1
-        assert "is a directory" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: train: --out {out}{suffix} is a directory; name the file\n")
         assert sorted(os.listdir(tmp_path)) == ["runs"]
         assert not os.listdir(out)
 
@@ -423,6 +424,20 @@ class TestReport:
             f"error: report: the directory of --out {out} does not exist\n")
         assert not out.parent.exists()
 
+    @pytest.mark.parametrize("suffix", ["", os.sep])
+    def test_directory_out_refused_before_reading(self, tmp_path, capsys, fake_runs,
+                                                  monkeypatch, suffix):
+        def no_aggregate(in_dir):
+            raise AssertionError("aggregated despite an --out that is a directory")
+
+        monkeypatch.setattr(cli, "aggregate", no_aggregate)
+        out = tmp_path / "tables"
+        out.mkdir()
+        assert main(["report", "--in", str(fake_runs), "--out", str(out) + suffix]) == 1
+        assert capsys.readouterr().err == (
+            f"error: report: --out {out}{suffix} is a directory; name the file\n")
+        assert not os.listdir(out)
+
     def test_empty_dir_is_usage_error(self, tmp_path, capsys):
         runs = tmp_path / "runs"
         runs.mkdir()
@@ -447,6 +462,18 @@ class TestFingerprint:
         assert main(["fingerprint", "--out", str(out)]) == 1
         assert "does not exist" in capsys.readouterr().err
         assert not out.parent.exists()
+
+    @pytest.mark.parametrize("suffix", ["", os.sep])
+    def test_directory_out_refused_before_any_step(self, tmp_path, capsys, monkeypatch,
+                                                    suffix):
+        def never(out):
+            raise AssertionError("ran the steps despite an --out that is a directory")
+
+        monkeypatch.setattr(cli, "write_fingerprint", never)
+        assert main(["fingerprint", "--out", str(tmp_path) + suffix]) == 1
+        assert capsys.readouterr().err == (
+            f"error: fingerprint: --out {tmp_path}{suffix} is a directory; name the file\n")
+        assert not os.listdir(tmp_path)
 
     def test_report_passes_the_fingerprint_by(self, tmp_path, capsys, fake_runs):
         without = tmp_path / "without.csv"
@@ -558,15 +585,6 @@ class TestEntryPoints:
         assert "InfoMax limit" in capsys.readouterr().out
 
     def test_module_invocation(self):
-        # The child imports the package this suite imports. pytest's
-        # `pythonpath` setting puts src/ on sys.path but not in the environment.
-        src = str(Path(cli.__file__).resolve().parent.parent)
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        proc = subprocess.run(
-            [sys.executable, "-m", "polyview", "check", "--suite", "identities"],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
-        )
+        proc = fresh_python("-m", "polyview", "check", "--suite", "identities")
         assert proc.returncode == 0
         assert "PASS" in proc.stdout

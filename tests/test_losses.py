@@ -13,9 +13,7 @@ import json
 import math
 import os
 import re
-import subprocess
 import sys
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,7 +21,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import at_width, identical_embedding_batch, random_embedding_batch, unit_rows
+from conftest import (
+    at_width,
+    fresh_python,
+    identical_embedding_batch,
+    random_embedding_batch,
+    unit_rows,
+)
 from polyview import losses, streams, tinynn
 from polyview.gaussian_world import GaussianConfig, sample_batch
 from polyview.losses import (
@@ -756,11 +760,7 @@ print(json.dumps({"before": before, "after_import": after_import,
 
 
 def test_import_starts_no_thread_and_pool_takes_blas_width():
-    src = str(Path(losses.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-c", SIDE_EFFECTS], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "2"},
-                          timeout=120)
+    proc = fresh_python("-c", SIDE_EFFECTS, OPENBLAS_NUM_THREADS="2")
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout)
     assert seen["after_import"] == seen["before"]
@@ -804,11 +804,7 @@ sys.exit(3)
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
 def test_forked_child_runs_multi_tile_calls():
     # Exit 3: the child hung on its parent's pool, whose threads it lacks.
-    src = str(Path(losses.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-c", FORKED_CHILD], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "2"},
-                          timeout=120)
+    proc = fresh_python("-c", FORKED_CHILD, OPENBLAS_NUM_THREADS="2")
     assert proc.returncode == 0, proc.stderr
 
 
@@ -829,12 +825,44 @@ print(harness._eval_row(spec, params, 0, None).eval_loss)
 def test_kernel_calls_inside_batch_tasks_cannot_deadlock():
     # A task whose kernel call queued its tiles on the task's own pool would
     # wait for threads that all wait the same way.
-    src = str(Path(losses.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-c", NESTED_CALLS], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path}, timeout=60)
+    proc = fresh_python("-c", NESTED_CALLS, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert math.isfinite(float(proc.stdout))
+
+
+ONE_ARENA = """
+import ctypes, json, os, tempfile
+from polyview import harness, losses, streams, tinynn
+
+spec = harness.RunSpec(method=losses.Method.GEOMETRIC_PVC, m=3, k=64, eval_batches=8)
+params = tinynn.init_params(streams.stream(0, streams.INIT))
+harness._eval_row(spec, params, 0, None)
+libc = ctypes.CDLL(None)
+heaps = None
+if hasattr(libc, "malloc_info"):
+    libc.fopen.argtypes, libc.fopen.restype = [ctypes.c_char_p, ctypes.c_char_p], ctypes.c_void_p
+    libc.malloc_info.argtypes = [ctypes.c_int, ctypes.c_void_p]
+    libc.fclose.argtypes = [ctypes.c_void_p]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "malloc.xml")
+        stream = libc.fopen(path.encode(), b"w")
+        libc.malloc_info(0, stream)
+        libc.fclose(stream)
+        with open(path) as fh:
+            heaps = fh.read().count("<heap nr=")
+print(json.dumps({"width": losses._pool[0], "heaps": heaps}))
+"""
+
+
+def test_pool_threads_allocate_from_one_malloc_arena():
+    # Batch tasks draw, encode and score on pool threads; with an arena per
+    # thread, each would keep a heap of its own beside the main one.
+    proc = fresh_python("-c", ONE_ARENA, OPENBLAS_NUM_THREADS="2")
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    if seen["heaps"] is None or seen["width"] == 1:
+        pytest.skip("no glibc malloc_info, or no tile pool")
+    assert seen["heaps"] == 1
 
 
 # ---------------------------------------------------------------------------

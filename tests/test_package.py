@@ -2,14 +2,12 @@
 import, and importing it loads no module that only an oracle needs."""
 
 import ast
-import os
 import re
-import subprocess
-import sys
 import types
 from pathlib import Path
 
 import polyview
+from conftest import fresh_python
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -52,13 +50,10 @@ def test_import_leaves_scipy_linalg_unloaded():
     # The package uses no scipy: the encoder's erf and the matrix MI
     # oracle's Cholesky factors are numpy's, so no scipy module loads even
     # after the oracle runs.
-    src = str(Path(polyview.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     code = ("import sys, polyview, polyview.cli; "
             "scipy = lambda: any(n.split('.')[0] == 'scipy' for n in sys.modules); "
             "print(scipy()); polyview.mi_via_gaussian_kl(1.0, 1.0, 3); print(scipy())")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    proc = fresh_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "False"]
 
@@ -66,10 +61,7 @@ def test_import_leaves_scipy_linalg_unloaded():
 def test_import_leaves_hashlib_unloaded():
     # hashlib loads OpenSSL, 3.7 MiB of RSS; only the fig3 fingerprint
     # digests, and it imports hashlib when it runs.
-    src = str(Path(polyview.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     code = "import sys, polyview, polyview.cli; print('_hashlib' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    proc = fresh_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False"]
