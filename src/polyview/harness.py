@@ -20,7 +20,7 @@ eval_batches fresh held-out batches (never the training batch), and the
 bound/gap columns are derived from that average.
 
 The batches of an evaluation row or a study are independent: each is one
-task of losses._map_batches, which may run them on the tile pool, and their
+task of losses._ordered_map, which may run them on the tile pool, and their
 values are reduced in batch order, so no output depends on the thread count.
 
 A fingerprint file beside the fig3 runs holds the sha256 digests of one
@@ -58,8 +58,8 @@ from .losses import (
     EmbeddingBatch,
     Method,
     _check_objective,
-    _map_batches,
     _NumericalError,
+    _ordered_map,
     compute_loss,
     l2_normalize,
     loss_pair_infonce,
@@ -223,7 +223,7 @@ def _eval_row(spec: RunSpec, params, epoch: int, train_loss: float | None) -> Ru
         batch = sample_batch(cfg, streams.stream(spec.seed, streams.EVAL_BATCH, a=epoch, b=j))
         return compute_loss(spec.method, forward(params, batch.views), spec.tau).total
 
-    eval_loss = float(np.mean(_map_batches(batch_loss, spec.eval_batches, spec.k, spec.m)))
+    eval_loss = float(np.mean(list(_ordered_map(batch_loss, range(spec.eval_batches)))))
     if not math.isfinite(eval_loss):
         raise _NumericalError(f"evaluation loss is {eval_loss}")
     bound = bound_from_loss(spec.method, eval_loss, spec.k, spec.m)
@@ -740,7 +740,7 @@ def variance_study(spec: RunSpec, n_batches: int) -> VarianceReport:
     # centred sum of squares of the first draw's losses (multicrop, pair) for
     # the total variances; in C order, so that each row's sum runs along
     # contiguous memory
-    stats = np.ascontiguousarray(np.transpose(_map_batches(batch_stats, n_batches, k, spec.m)))
+    stats = np.ascontiguousarray(np.transpose(list(_ordered_map(batch_stats, range(n_batches)))))
 
     n = n_batches * k
     s = stats.sum(axis=1)
@@ -749,8 +749,10 @@ def variance_study(spec: RunSpec, n_batches: int) -> VarianceReport:
     total_mc = _pooled_variance(stats[2], stats[3], k)
     total_pair = _pooled_variance(stats[4], stats[5], k)
     boot_rng = streams.stream(spec.seed, streams.STUDY, a=0, b=1)
-    draws = boot_rng.integers(0, n_batches, size=(2000, n_batches))
-    boot = stats[:2, draws].sum(axis=-1)  # (2, 2000) resampled conditional sums
+    # (2, 2000) resampled conditional sums, one draw of n_batches at a time:
+    # all 2000 at once would hold 24 bytes per drawn batch, 2.9 GiB at 65,536
+    boot = np.transpose([stats[:2, boot_rng.integers(0, n_batches, n_batches)].sum(axis=-1)
+                         for _ in range(2000)])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratio, total_ratio = var_mc / var_pair, total_mc / total_pair
         lo, hi = np.quantile(boot[0] / boot[1], [0.005, 0.995])
@@ -835,7 +837,7 @@ def validity_study(spec: RunSpec, n_batches: int = 64) -> ValidityReport:
         return true_m - bound_from_loss(spec.method, loss_m, spec.k, spec.m), np.mean(pair_gaps)
 
     gap_m, gap_pair = np.ascontiguousarray(
-        np.transpose(_map_batches(batch_gaps, n_batches, spec.k, spec.m)))
+        np.transpose(list(_ordered_map(batch_gaps, range(n_batches)))))
     diff = gap_m - gap_pair
     return ValidityReport(
         method=spec.method.value,

@@ -71,29 +71,28 @@ within a dot product, so every output bit is the same at any width.
 Without a handle on numpy's OpenBLAS the width is 1 and the items run in
 order on the calling thread; so do single-item maps.
 
-Two rules hold for the tasks. Nested calls run serially: a kernel call
-inside a task runs its tiles one after another on the task's thread, since
-a task that waited on its own pool would deadlock once every pool thread
-did the same. Each map holds one buffer (a slot) per pool thread, sized for
-the largest tile of the map, and a task's kernel calls use its slot (a
-batch task's slot fits the pass-1 blocks of loss-only calls at the batch's
-(K, M)).
+Nested maps run serially: a map inside a task (a kernel call inside a batch
+task) runs its items one after another on the task's thread, since a task
+that waited on its own pool would deadlock once every pool thread did the
+same. The map holds no memory: each tile and each task makes its own arrays
+as it starts.
 
 Memory: a kernel call keeps one copy of each array that a pass reads.
-Through pass 1 it holds, besides its inputs and slots, the folded rows of
-every anchor [z/tau, -1/tau] and candidate [z, 1] (which the tiles and the
-positives' GEMMs read), the negative sums, and the row shifts below the
-shift limit, which pass 2 reads too. The folded rows die with pass 1, so
-the per-target arrays made from its sums reuse their memory, and those die
-before pass 2, which holds the negative-score coefficients (Ma, K, Mc),
-the gradients and the increments of at most twice the pool's width of
-tiles: (va, K, d) for a tile's rows and (vb, K, d) for its columns. A
-pass-1 slot holds one block's scores behind one carried row. A pass-2 slot
-holds the tile's folded rows, then one block's weighted scores W, the
-weights of _WEIGHT_ROWS rows of a symmetric tile, and a later block's
-column increments. At K = 1024, M = 10 and 128-row blocks each copy of the
-embeddings is 2.5 MiB, a slot 1.0 MiB in pass 1 and 2.0 MiB in pass 2, and
-a tile's increments 0.5 MiB.
+Through pass 1 it holds, besides its inputs and its running tiles' arrays,
+the folded rows of every anchor [z/tau, -1/tau] and candidate [z, 1] (which
+the tiles and the positives' GEMMs read), the negative sums, and the row
+shifts below the shift limit, which pass 2 reads too. The folded rows die
+with pass 1, so the per-target arrays made from its sums reuse their
+memory, and those die before pass 2, which holds the negative-score
+coefficients (Ma, K, Mc), the gradients and the increments of at most twice
+the pool's width of tiles: (va, K, d) for a tile's rows and (vb, K, d) for
+its columns. A running pass-1 tile holds its largest block's scores behind
+one carried row. A running pass-2 tile holds its folded rows, its largest
+block's weighted scores W, the weights of _WEIGHT_ROWS rows of a symmetric
+tile, and a later block's column increments. At K = 1024, M = 10 and
+128-row blocks each copy of the embeddings is 2.5 MiB, a running tile's
+arrays 1.0 MiB in pass 1 and 2.0 MiB in pass 2, and a tile's increments
+0.5 MiB.
 """
 
 from __future__ import annotations
@@ -104,7 +103,6 @@ import enum
 import functools
 import math
 import os
-import queue
 import sys
 import threading
 from collections import deque
@@ -130,8 +128,8 @@ _WEIGHT_ROWS = 32
 # The tile pool as (width, executor or None), made at the first map with several items.
 _pool = None
 _pool_lock = threading.Lock()
-# The buffer of the task running in this context, or None outside any task.
-_task_buffer = contextvars.ContextVar("polyview_task_buffer", default=None)
+# True in the context of a task running on the tile pool.
+_in_task = contextvars.ContextVar("polyview_in_task", default=False)
 
 
 class _NumericalError(ValueError):
@@ -331,77 +329,36 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_renew_pool_in_child)
 
 
-def _ordered_map(fn, items, size, prepare=None):
-    """Yield fn(prepare(item), buffer) for each item, in item order (prepare
-    defaults to the identity, and runs on the calling thread as each item is
-    submitted). Several items run on the tile pool, each in a copy of the
-    caller's context (numpy's error state is in it), with up to twice its
-    width submitted, so that a thread the host delays holds up the others
-    less. The map holds one buffer of size floats per pool thread, and a
-    running item takes a free one. An item on the pool is a task: a map
-    inside it runs serially on the task's thread, with the task's buffer. If
-    items raise, the first one's error in item order is raised and the items
-    not yet started are cancelled."""
-    prepare = prepare or (lambda item: item)
-    inside = _task_buffer.get()
-    width, pool = _tile_pool() if len(items) > 1 and inside is None else (1, None)
+def _ordered_map(fn, items):
+    """Yield fn(item) for each item, in item order. Several items run on the
+    tile pool, each in a copy of the caller's context (numpy's error state is
+    in it), with up to twice its width submitted, so that a thread the host
+    delays holds up the others less. An item on the pool is a task: a map
+    inside it runs serially on the task's thread. If items raise, the first
+    one's error in item order is raised and the items not yet started are
+    cancelled."""
+    inside = _in_task.get()
+    width, pool = _tile_pool() if len(items) > 1 and not inside else (1, None)
     if pool is None:
-        buffer = np.empty(size) if inside is None else inside
         for item in items:
-            yield fn(prepare(item), buffer)
+            yield fn(item)
         return
-    free = queue.SimpleQueue()
-    for _ in range(width):
-        free.put(np.empty(size))
 
     def run(item):
-        buffer = free.get()
-        _task_buffer.set(buffer)
-        try:
-            return fn(item, buffer)
-        finally:
-            free.put(buffer)
+        _in_task.set(True)
+        return fn(item)
 
     pending = deque()
     try:
         for item in items:
             if len(pending) == 2 * width:
                 yield pending.popleft().result()
-            pending.append(pool.submit(contextvars.copy_context().run, run, prepare(item)))
+            pending.append(pool.submit(contextvars.copy_context().run, run, item))
         while pending:
             yield pending.popleft().result()
     finally:
         for future in pending:
             future.cancel()
-
-
-def _pass_one_slot(tiles, blocks, k):
-    """Floats of a pass-1 slot for one batch: the largest block's scores,
-    behind one row for a carried column sum. The first block is the largest."""
-    i0, i1 = blocks[0]
-    return max((1 + (a1 - a0) * (i1 - i0)) * (b1 - b0) * k for a0, a1, b0, b1, _ in tiles)
-
-
-def _map_batches(fn, n, k, m):
-    """[fn(i) for i in range(n)]. With several batches and a pool, batch i is
-    a task of the ordered map, and its loss-only kernel calls, on K samples
-    of at most M views, fit in the task's buffer. Else the batches run in
-    order on the calling thread, with no buffer of the map's: one held unused
-    through the kernel calls would make each call fault its own tiles' pages
-    in anew."""
-    if n > 1 and _tile_pool()[1] is not None:
-        _, tiles, _, blocks = _plan(True, False, m, m, k, False, _ROW_BLOCK)
-        return list(_ordered_map(lambda i, _: fn(i), range(n), _pass_one_slot(tiles, blocks, k)))
-    return [fn(i) for i in range(n)]
-
-
-def _carve(flat, *shapes):
-    """Consecutive arrays of the given shapes from the front of flat."""
-    arrays, start = [], 0
-    for shape in shapes:
-        arrays.append(flat[start:start + math.prod(shape)].reshape(shape))
-        start += arrays[-1].size
-    return arrays
 
 
 def _hat(views, inv_tau, out):
@@ -471,41 +428,27 @@ def _candidate_set_loss(anchors, cands, tau, log_mean_exp, per_view, want_grad):
     # one-sided tile has no mirrored pair and weighs by c_rows alone. A
     # block's rows take their terms from W @ C_b, whole in any block; a
     # mirrored or one-sided tile's columns take theirs from W^T @ A_block,
-    # which a split tile sums over its blocks in block order. A tile folds
-    # its candidate and anchor rows into the front of its slot, and each
-    # block makes W behind them. A tile writes its increments (gradient,
-    # first view, last view + 1, value) into memory that the calling thread
-    # takes as it submits the tile (fig3-m10 read slower in one of two
-    # series with the tiles taking it), and they are added in tile order.
-    def increment_shapes(tile):
-        # The rows' increments, and the columns' if any.
-        va, vb = tile[1] - tile[0], tile[3] - tile[2]
-        return (va, k, d), (vb if tile[4] or not symmetric else 0, k, d)
-
-    def increment_memory(tile):
-        return tile, np.empty(sum(map(math.prod, increment_shapes(tile))))
-
-    def block_arrays(tile, n):
-        # The tile's folded candidate and anchor rows; behind them an n-row
-        # block's weighted scores, the weights of a symmetric tile, and a
-        # later block's column increments.
-        va, vb = tile[1] - tile[0], tile[3] - tile[2]
-        later = increment_shapes(tile)[1] if len(blocks) > 1 else (0,)
-        return ((vb * k, d + 1), (va, k, d + 1), (va * n, vb * k),
-                (min(n, _WEIGHT_ROWS) * symmetric, vb, k), later)
-
-    def tile_increments(item, buffer):
-        tile, memory = item
-        a0, a1, b0, b1, _ = tile
+    # which a split tile sums over its blocks in block order. A tile makes
+    # its own arrays as it starts: its folded candidate and anchor rows, room
+    # for its largest block's W, the weights of _WEIGHT_ROWS rows of a
+    # symmetric tile, its increments (gradient, first view, last view + 1,
+    # value) and a later block's column increments. The calling thread adds
+    # the increments in tile order.
+    def tile_increments(tile):
+        a0, a1, b0, b1, mirrored = tile
         va, vb = a1 - a0, b1 - b0
-        inc_a, inc_c = _carve(memory, *increment_shapes(tile))
+        n = blocks[0][1]  # the first block is the largest
         zb = cands[b0:b1].reshape(vb * k, d)
         c_cols = coeff[b0:b1, :, a0:a1].transpose(2, 0, 1)
-        c_hat, a_hat = _carve(buffer, *block_arrays(tile, 0)[:2])
-        _hat(zb, None, c_hat)
-        _hat(anchors[a0:a1], 1.0 / tau, a_hat.reshape(-1, d + 1))
+        c_hat = _hat(zb, None, np.empty((vb * k, d + 1)))
+        a_hat = _hat(anchors[a0:a1], 1.0 / tau, np.empty((va * k, d + 1))).reshape(va, k, -1)
+        scores = np.empty(va * n * vb * k)
+        weights = np.empty((min(n, _WEIGHT_ROWS) * symmetric, vb, k))
+        inc_a = np.empty((va, k, d))
+        inc_c = np.empty((vb if mirrored or not symmetric else 0, k, d))
+        later = np.empty_like(inc_c) if len(blocks) > 1 else None
         for j, (i0, i1) in enumerate(blocks):
-            s, weights, later = _carve(buffer, *block_arrays(tile, i1 - i0))[2:]
+            s = scores[:va * (i1 - i0) * vb * k].reshape(va * (i1 - i0), vb * k)
             e = _exp_tile(a_hat[:, i0:i1].reshape(-1, d + 1), c_hat, k, tile, (i0, i1), shift,
                           False, s)
             c_rows = coeff[a0:a1, i0:i1, b0:b1, None]
@@ -524,9 +467,7 @@ def _candidate_set_loss(anchors, cands, tau, log_mean_exp, per_view, want_grad):
                     inc_c += later
         return [(grad_a, a0, a1, inc_a)] + [(grad_c, b0, b1, inc_c)] * bool(inc_c.size)
 
-    slot = max(sum(map(math.prod, block_arrays(tile, blocks[0][1] - blocks[0][0])))
-               for tile in tiles)
-    for steps in _ordered_map(tile_increments, tiles, slot, increment_memory):
+    for steps in _ordered_map(tile_increments, tiles):
         for grad, v0, v1, increment in steps:
             grad[v0:v1] += increment
     return per_sample, grad_a, grad_c
@@ -598,9 +539,12 @@ def _pass_one(anchors, cands, tau, plan, shift):
     # tile's column sums run down each anchor view's rows in order: a view
     # split over several blocks carries its running sum in the row in front
     # of each later block's scores.
-    def tile_sums(tile, buffer):
+    def tile_sums(tile):
         a0, a1, b0, b1, mirrored = tile
         va, cols = a1 - a0, (b1 - b0) * k
+        # The largest block's scores (the first block is the largest), behind
+        # one row for a carried column sum.
+        buffer = np.empty(math.prod(lead) * (1 + va * blocks[0][1]) * cols)
         for i0, i1 in blocks:
             rows = va * (i1 - i0)
             s = buffer[:math.prod(lead) * (1 + rows) * cols].reshape(*lead, 1 + rows, cols)
@@ -615,7 +559,7 @@ def _pass_one(anchors, cands, tau, plan, shift):
         if mirrored:
             neg[..., b0:b1, :, a0:a1] = np.moveaxis(carried.reshape(*lead, va, b1 - b0, k), -3, -1)
 
-    for _ in _ordered_map(tile_sums, tiles, math.prod(lead) * _pass_one_slot(tiles, blocks, k)):
+    for _ in _ordered_map(tile_sums, tiles):
         pass
     # Positives straight from the shifted scores: (K, Ma, Mc) per-sample GEMMs.
     same = a_hat.swapaxes(-3, -2) @ np.moveaxis(c_hat.reshape(*lead, mc, k, -1), -3, -1)

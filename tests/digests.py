@@ -20,6 +20,11 @@ Families:
   loss_and_grads    per-sample losses and parameter gradients, encoder
                     rows of the shapes above with K * M <= 4096
   oracle            finite_difference_grads on criterion_02's 130 batches
+  pool tasks        evaluation rows (harness._eval_row: eval_loss and bound)
+                    of the seed-7 init encoder at K = 1024, M in {2, 10}, 16
+                    batches, every method; variance_study at K = 64, M = 4,
+                    64 batches; validity_study of each M-view method at
+                    K = 64, M = 4, 16 batches: each batch a task of the pool
   _erf, gelu        four sets of 262,144 draws (normal at scales 0.5, 2 and
                     5, uniform on [-8, 8]) in chunks of 32,768; gelu(x, dx)
                     gives its values and, with dx = 1, its derivative
@@ -27,11 +32,13 @@ Families:
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import numpy as np
 
 from polyview import streams
+from polyview.harness import RunSpec, _eval_row, validity_study, variance_study
 from polyview.losses import (
     EmbeddingBatch,
     Method,
@@ -120,6 +127,20 @@ def oracle_arrays():
                 yield from finite_difference_grads(params, batch, method, 0.5).as_dict().values()
 
 
+def pool_arrays():
+    for m in (2, 10):
+        for method in Method:
+            if method is Method.INFONCE and m != 2:
+                continue
+            row = _eval_row(RunSpec(method=method, m=m, seed=SEED), PARAMS, 0, None)
+            yield np.array([row.eval_loss, row.bound])
+    reports = [variance_study(RunSpec(method=Method.MULTICROP, m=4, k=64, seed=SEED), 64)]
+    reports += [validity_study(RunSpec(method=method, m=4, k=64, seed=SEED), 16)
+                for method in Method if method is not Method.INFONCE]
+    for report in reports:
+        yield np.array([v for v in dataclasses.astuple(report) if isinstance(v, float)])
+
+
 def draws():
     for i, draw in enumerate((lambda g, n: 0.5 * g.standard_normal(n),
                               lambda g, n: 2.0 * g.standard_normal(n),
@@ -140,6 +161,7 @@ def main() -> None:
     for name, arrays in (("compute_loss", loss_arrays()), ("_loss_and_zgrad", zgrad_arrays()),
                          ("loss_pair_infonce", pair_arrays()),
                          ("loss_and_grads", step_arrays()), ("oracle", oracle_arrays()),
+                         ("pool tasks", pool_arrays()),
                          ("_erf", map(_erf, draws())), ("gelu", gelu_arrays())):
         print(f"{name:17s} {digest(arrays)}")
 

@@ -729,6 +729,25 @@ class TestTileThreads:
         for name, want in serial.as_dict().items():
             assert threaded.as_dict()[name].tobytes() == want.tobytes()
 
+    def test_training_steps_as_pool_tasks_keep_serial_bits(self, monkeypatch):
+        # Each step is a task, so its kernel calls run their tiles serially on
+        # the task's thread; pass 2's tiles make their own arrays there too.
+        params = init_params(streams.stream(0, streams.TEST, a=4))
+        batches = [streams.stream(0, streams.TEST, a=5, b=b).standard_normal((64, 4))
+                   for b in range(2)]
+
+        def steps():
+            return list(losses._ordered_map(
+                lambda views: tinynn.loss_and_grads(params, views, Method.GEOMETRIC_PVC, TAU),
+                batches))
+
+        (serial, _), (threaded, ran) = [at_width(monkeypatch, width, steps) for width in (1, 2)]
+        assert ran == 2
+        for (want, want_grads), (got, got_grads) in zip(serial, threaded):
+            assert got.per_sample.tobytes() == want.per_sample.tobytes()
+            for name, grad in want_grads.as_dict().items():
+                assert got_grads.as_dict()[name].tobytes() == grad.tobytes()
+
 
 SIDE_EFFECTS = """
 import ctypes, json, threading
