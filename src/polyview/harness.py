@@ -40,7 +40,6 @@ import math
 import os
 import platform
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields
 from typing import NamedTuple
 
@@ -444,6 +443,7 @@ def run_sweep(sweep: SweepSpec, out_dir: str) -> list[SweepResult]:
 
     if sweep.jobs > 1 and len(pending) > 1:
         import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
         # Spawned workers read this at start: max(1, cores // jobs) OpenBLAS
         # threads each, so that together they keep to the machine's cores.

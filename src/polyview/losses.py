@@ -77,22 +77,29 @@ that waited on its own pool would deadlock once every pool thread did the
 same. The map holds no memory: each tile and each task makes its own arrays
 as it starts.
 
-Memory: a kernel call keeps one copy of each array that a pass reads.
-Through pass 1 it holds, besides its inputs and its running tiles' arrays,
-the folded rows of every anchor [z/tau, -1/tau] and candidate [z, 1] (which
-the tiles and the positives' GEMMs read), the negative sums, and the row
-shifts below the shift limit, which pass 2 reads too. The folded rows die
-with pass 1, so the per-target arrays made from its sums reuse their
-memory, and those die before pass 2, which holds the negative-score
-coefficients (Ma, K, Mc), the gradients and the increments of at most twice
-the pool's width of tiles: (va, K, d) for a tile's rows and (vb, K, d) for
-its columns. A running pass-1 tile holds its largest block's scores behind
-one carried row. A running pass-2 tile holds its folded rows, its largest
-block's weighted scores W, the weights of _WEIGHT_ROWS rows of a symmetric
-tile, and a later block's column increments. At K = 1024, M = 10 and
-128-row blocks each copy of the embeddings is 2.5 MiB, a running tile's
-arrays 1.0 MiB in pass 1 and 2.0 MiB in pass 2, and a tile's increments
-0.5 MiB.
+Memory: a kernel call keeps one copy of each array that a pass reads, and
+each tile folds only the rows it scores, [z/tau, -1/tau] for anchors and
+[z, 1] for candidates: its candidate views once, its anchor rows one block
+at a time. The positives' GEMMs fold one row block of samples at a time; a
+call that is one tile of one block (every call of the gradient oracle)
+reads that tile's folds. Through pass 1 a call holds, besides its inputs
+and its running tiles' arrays, the negative sums and the row shifts below
+the shift limit, which pass 2 reads too. The per-target arrays made from
+the sums die before pass 2, which holds the negative-score coefficients
+(Ma, K, Mc), the gradients and the increments of at most twice the pool's
+width of tiles: (va, K, d) for a tile's rows and (vb, K, d) for its
+columns. The positives' candidate term joins the gradient one row block at
+a time. A running pass-1 tile holds its candidate folds, its largest
+block's anchor folds and that block's scores behind one carried row. A
+running pass-2 tile holds its candidate folds, its largest block's anchor
+folds and weighted scores W, the weights of _WEIGHT_ROWS rows of a
+symmetric tile, and a later block's column increments. At K = 1024, M = 10
+and 128-row blocks each copy of the embeddings is 2.5 MiB, a view's folds
+0.26 MiB, a running tile's arrays 1.3 MiB in pass 1 and 1.8 MiB in pass 2,
+and a tile's increments 0.5 MiB. A step's tracemalloc peaks there, at pool
+width 2: 6.1 MiB through pass 1 (8.6 for suffstats, whose rest-set
+statistics are a second input), 10.2-12.8 MiB through the loss terms and
+10.9-12.0 MiB through pass 2 (16.0 for suffstats).
 """
 
 from __future__ import annotations
@@ -362,10 +369,10 @@ def _ordered_map(fn, items):
 
 
 def _hat(views, inv_tau, out):
-    """The rows of views (..., v, K, d) with one column appended, written into
-    out (..., v * K, d + 1): [z | 1] for candidates (inv_tau None), or
-    [z / tau | -1 / tau] for anchors, whose product with a candidate row is
-    its score minus the shift 1 / tau."""
+    """The rows of views (..., v, n, d) with one column appended, written into
+    out (..., v * n, d + 1) or (..., v, n, d + 1): [z | 1] for candidates
+    (inv_tau None), or [z / tau | -1 / tau] for anchors, whose product with
+    a candidate row is its score minus the shift 1 / tau."""
     d = views.shape[-1]
     rows = views.reshape(out.shape[:-1] + (d,))
     if inv_tau is None:
@@ -429,11 +436,11 @@ def _candidate_set_loss(anchors, cands, tau, log_mean_exp, per_view, want_grad):
     # block's rows take their terms from W @ C_b, whole in any block; a
     # mirrored or one-sided tile's columns take theirs from W^T @ A_block,
     # which a split tile sums over its blocks in block order. A tile makes
-    # its own arrays as it starts: its folded candidate and anchor rows, room
-    # for its largest block's W, the weights of _WEIGHT_ROWS rows of a
-    # symmetric tile, its increments (gradient, first view, last view + 1,
-    # value) and a later block's column increments. The calling thread adds
-    # the increments in tile order.
+    # its own arrays as it starts: its folded candidate rows, room for its
+    # largest block's folded anchor rows and W, the weights of _WEIGHT_ROWS
+    # rows of a symmetric tile, its increments (gradient, first view, last
+    # view + 1, value) and a later block's column increments. The calling
+    # thread adds the increments in tile order.
     def tile_increments(tile):
         a0, a1, b0, b1, mirrored = tile
         va, vb = a1 - a0, b1 - b0
@@ -441,16 +448,17 @@ def _candidate_set_loss(anchors, cands, tau, log_mean_exp, per_view, want_grad):
         zb = cands[b0:b1].reshape(vb * k, d)
         c_cols = coeff[b0:b1, :, a0:a1].transpose(2, 0, 1)
         c_hat = _hat(zb, None, np.empty((vb * k, d + 1)))
-        a_hat = _hat(anchors[a0:a1], 1.0 / tau, np.empty((va * k, d + 1))).reshape(va, k, -1)
+        a_hat = np.empty((va * n, d + 1))
         scores = np.empty(va * n * vb * k)
         weights = np.empty((min(n, _WEIGHT_ROWS) * symmetric, vb, k))
         inc_a = np.empty((va, k, d))
         inc_c = np.empty((vb if mirrored or not symmetric else 0, k, d))
         later = np.empty_like(inc_c) if len(blocks) > 1 else None
         for j, (i0, i1) in enumerate(blocks):
-            s = scores[:va * (i1 - i0) * vb * k].reshape(va * (i1 - i0), vb * k)
-            e = _exp_tile(a_hat[:, i0:i1].reshape(-1, d + 1), c_hat, k, tile, (i0, i1), shift,
-                          False, s)
+            rows = va * (i1 - i0)
+            s = scores[:rows * vb * k].reshape(rows, vb * k)
+            e = _exp_tile(_hat(anchors[a0:a1, i0:i1], 1.0 / tau, a_hat[:rows]), c_hat, k, tile,
+                          (i0, i1), shift, False, s)
             c_rows = coeff[a0:a1, i0:i1, b0:b1, None]
             if not symmetric:
                 e *= c_rows
@@ -481,7 +489,7 @@ def _loss_terms(anchors, cands, tau, plan, shift, log_mean_exp, per_view, want_g
     *lead, ma, k, _ = anchors.shape
     mc = cands.shape[-3]
     rowmax = shift is not None
-    targets, _, gather, _ = plan
+    targets, _, gather, blocks = plan
     n_t = targets.shape[1]
     pos, neg = _pass_one(anchors, cands, tau, plan, shift)
     if per_view:
@@ -517,20 +525,23 @@ def _loss_terms(anchors, cands, tau, plan, shift, log_mean_exp, per_view, want_g
         coeff = np.broadcast_to(share.sum(axis=2, keepdims=True) * rel / neg_t, (ma, k, mc))
     grad_a = np.einsum("aib,bid->aid", pos_coeff, cands)
     grad_c = grad_a if cands is anchors else np.zeros_like(cands)
-    grad_c += np.einsum("aib,aid->bid", pos_coeff, anchors)
+    for i0, i1 in blocks:
+        grad_c[:, i0:i1] += np.einsum("aib,aid->bid", pos_coeff[:, i0:i1], anchors[:, i0:i1])
     return per_sample, coeff, grad_a, grad_c
 
 
 def _pass_one(anchors, cands, tau, plan, shift):
     """Pass 1: the positives' shifted scores (..., Ma, K, T) and the negative
-    sums (..., Ma, K, Mc) of every anchor row. The folded copies of all rows
-    live only here, so that the arrays made from these sums reuse their
-    memory."""
+    sums (..., Ma, K, Mc) of every anchor row. Each tile folds the rows it
+    scores: its candidate views once, and its anchor rows block by block.
+    The positives fold one row block of samples at a time, except that a
+    call that is one tile of one block reads that tile's folds of every
+    row."""
     *lead, ma, k, d = anchors.shape
     mc = cands.shape[-3]
     _, tiles, gather, blocks = plan
-    c_hat = _hat(cands, None, np.empty((*lead, mc * k, d + 1)))
-    a_hat = _hat(anchors, 1.0 / tau, np.empty((*lead, ma * k, d + 1))).reshape(*lead, ma, k, -1)
+    n = blocks[0][1]  # the first block is the largest
+    whole = tiles == ((0, ma, 0, mc, False),) and len(blocks) == 1
     neg = np.empty((*lead, ma, k, mc))
 
     # The negative sums of each anchor row in each candidate view, under
@@ -542,15 +553,16 @@ def _pass_one(anchors, cands, tau, plan, shift):
     def tile_sums(tile):
         a0, a1, b0, b1, mirrored = tile
         va, cols = a1 - a0, (b1 - b0) * k
-        # The largest block's scores (the first block is the largest), behind
-        # one row for a carried column sum.
-        buffer = np.empty(math.prod(lead) * (1 + va * blocks[0][1]) * cols)
+        c_hat = _hat(cands[..., b0:b1, :, :], None, np.empty((*lead, cols, d + 1)))
+        # The largest block's folded anchor rows, and its scores behind one
+        # row for a carried column sum.
+        folded = np.empty((*lead, va * n, d + 1))
+        buffer = np.empty(math.prod(lead) * (1 + va * n) * cols)
         for i0, i1 in blocks:
             rows = va * (i1 - i0)
+            a_hat = _hat(anchors[..., a0:a1, i0:i1, :], 1.0 / tau, folded[..., :rows, :])
             s = buffer[:math.prod(lead) * (1 + rows) * cols].reshape(*lead, 1 + rows, cols)
-            e = _exp_tile(a_hat[..., a0:a1, i0:i1, :].reshape(*lead, rows, d + 1),
-                          c_hat[..., b0 * k:b1 * k, :], k, tile, (i0, i1), shift, True,
-                          s[..., 1:, :])
+            e = _exp_tile(a_hat, c_hat, k, tile, (i0, i1), shift, True, s[..., 1:, :])
             neg[..., a0:a1, i0:i1, b0:b1] = e.sum(axis=-1)
             if mirrored:
                 if i0 > 0:
@@ -558,12 +570,25 @@ def _pass_one(anchors, cands, tau, plan, shift):
                 carried = s[..., int(i0 == 0):, :].reshape(*lead, va, -1, cols).sum(axis=-2)
         if mirrored:
             neg[..., b0:b1, :, a0:a1] = np.moveaxis(carried.reshape(*lead, va, b1 - b0, k), -3, -1)
+        return (a_hat, c_hat) if whole else None
 
-    for _ in _ordered_map(tile_sums, tiles):
+    for folds in _ordered_map(tile_sums, tiles):
         pass
-    # Positives straight from the shifted scores: (K, Ma, Mc) per-sample GEMMs.
-    same = a_hat.swapaxes(-3, -2) @ np.moveaxis(c_hat.reshape(*lead, mc, k, -1), -3, -1)
-    return np.take(same.swapaxes(-3, -2).reshape(*lead, -1), gather, -1), neg
+    # Positives straight from the shifted scores: (Ma, Mc) per-sample GEMMs,
+    # one row block of samples at a time.
+    if whole:
+        a_hat, c_hat = (f.reshape(*lead, -1, k, d + 1) for f in folds)
+    else:
+        a_hat, c_hat = np.empty((*lead, ma, n, d + 1)), np.empty((*lead, mc, n, d + 1))
+    same = np.empty((*lead, ma, k, mc))
+    for i0, i1 in blocks:
+        a_rows, c_rows = a_hat[..., :i1 - i0, :], c_hat[..., :i1 - i0, :]
+        if not whole:
+            _hat(anchors[..., i0:i1, :], 1.0 / tau, a_rows)
+            _hat(cands[..., i0:i1, :], None, c_rows)
+        np.matmul(a_rows.swapaxes(-3, -2), np.moveaxis(c_rows, -3, -1),
+                  out=same[..., i0:i1, :].swapaxes(-3, -2))
+    return np.take(same.reshape(*lead, -1), gather, -1), neg
 
 
 # ---------------------------------------------------------------------------

@@ -384,16 +384,19 @@ class TestGradients:
         for method in ALL_METHODS] + [
         pytest.param(method, call, 10, width, limit, id=f"{method.value}-{call}-m10-width{width}")
         for method in ALL_METHODS if method is not Method.INFONCE
-        for call, width, limit in (("step", 2, 18.0), ("loss", 2, 17.0), ("step", 1, 17.0))])
+        for call, width, limit in (("step", 2, 18.0), ("loss", 2, 10.0), ("step", 1, 17.0))])
     def test_peak_memory_of_one_step(self, monkeypatch, method, call, m, width, limit):
-        # tracemalloc sees numpy's buffers. At K = 1024 with 128-row blocks
-        # and pass 2 as one weighted tile, a step at width 1 peaked at
-        # 6.0-6.9 MiB at M = 4 and 12.3-14.9 MiB at M = 10; at width 2 and
-        # M = 10 a step peaked at 13.5-16.4 MiB and a loss-only call at
-        # 10.7-13.1 MiB. With 2d-wide pass-2 operands and a1 held through the
-        # kernel, steps peaked at 8.3-8.5 MiB (5.8 for infonce at M = 2),
-        # 18.4 and 19.1-19.8 MiB; with whole K x K tiles at 14.2-15.2 (11.7),
-        # 30.8-33.4 and 24.5-27.1 MiB.
+        # tracemalloc sees numpy's buffers. At K = 1024 with 128-row blocks,
+        # pass 2 as one weighted tile and each tile folding only the rows it
+        # scores, steps at width 1 peaked at 5.0-6.7 MiB at M = 4 (3.5 for
+        # infonce at M = 2) and 10.2-12.9 MiB at M = 10, M = 10 steps at
+        # width 2 at 11.0-16.0 MiB (suffstats' pass 2 the highest), and
+        # width-2 loss-only calls at 6.0-8.5 MiB. With whole-call folded
+        # copies in pass 1 they peaked at 5.2-6.9 (3.7), 12.3-14.9,
+        # 12.3-16.4 and 10.7-13.1 MiB. With 2d-wide pass-2 operands and a1
+        # held through the kernel, steps peaked at 8.3-8.5 MiB (5.8 for
+        # infonce at M = 2), 18.4 and 19.1-19.8 MiB; with whole K x K tiles
+        # at 14.2-15.2 (11.7), 30.8-33.4 and 24.5-27.1 MiB.
         params = init_params(rng_for(25))
         views = random_views(1024, m, case=15)
         if call == "step":
