@@ -66,6 +66,7 @@ from .losses import (
 from .tinynn import (
     AdamWState,
     TrainConfig,
+    _check_types,
     adamw_step,
     finite_difference_grads,
     forward,
@@ -99,6 +100,7 @@ class RunSpec:
     record_stride: int = 1
 
     def __post_init__(self) -> None:
+        _check_types(self)
         self.gaussian()  # checks M, the variances and the seed
         if self.k < 2:
             raise ValueError(f"need K >= 2, got {self.k}")
@@ -558,8 +560,10 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
 def aggregate(in_dir: str) -> AggregateTable:
     """Group final-epoch rows of every per-run CSV by (method, M) and report
     mean/std over seeds of bound, gap, and relative_mi. Groups with a single
-    seed report std = 0 and are flagged. A group whose runs differ in K or
-    in their final epoch, or repeat a seed, is refused."""
+    seed report std = 0 and are flagged. A group whose runs differ in K, in
+    their final epoch or in their true MI (which the variances set), or
+    repeat a seed, is refused. The CSVs record neither tau nor the number
+    of eval batches: only a sweep directory's sweep.json guards those two."""
     paths = sorted(
         os.path.join(in_dir, name)
         for name in os.listdir(in_dir)
@@ -577,9 +581,10 @@ def aggregate(in_dir: str) -> AggregateTable:
 
     out = []
     for (method, m), finals in sorted(groups.items()):
-        if len({(r.k, r.epoch) for r in finals}) > 1 or len({r.seed for r in finals}) < len(finals):
-            raise ValueError(f"{in_dir}: the {method} M = {m} runs mix K or final epochs, "
-                             f"or repeat a seed")
+        if (len({(r.k, r.epoch, r.true_mi) for r in finals}) > 1
+                or len({r.seed for r in finals}) < len(finals)):
+            raise ValueError(f"{in_dir}: the {method} M = {m} runs mix K, final epochs or "
+                             f"true MI, or repeat a seed")
         bounds_ms = _mean_std([r.bound for r in finals])
         gaps_ms = _mean_std([r.gap for r in finals])
         rels = [r.relative_mi for r in finals if r.relative_mi is not None]
@@ -616,7 +621,8 @@ def step_digests() -> dict[str, str]:
     tau, variances and optimizer), keyed like the run files, e.g.
     "geometric_m10": over the step's gradients, the AdamW-updated parameters
     and compute_loss's per-sample losses at them on the step's batch."""
-    # Imported here: hashlib loads OpenSSL, 3.7 MiB of RSS that no run needs.
+    # Imported here, so that `import polyview` leaves hashlib and OpenSSL out
+    # (a run's first draw loads them anyway, through numpy.random).
     import hashlib
 
     digests = {}

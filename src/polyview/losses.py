@@ -38,14 +38,17 @@ Tiles and blocks: one constant, _ROW_BLOCK, sizes both. A tile is a group
 of whole views holding at most _ROW_BLOCK rows, or a single view. Every
 tile of a call runs the same row blocks in row order, rows [i0, i1) of each
 anchor view, at most _ROW_BLOCK at a time; so no K x K tile is ever held
-whole, and a group of views (K <= _ROW_BLOCK / 2) is one block. A block's
-same-sample scores form a diagonal that the mask sets through a view. Row
-sums, row maxima and a row's pass-2 product are whole rows in any block. A
-mirrored tile's column sums in pass 1 are added down each anchor view's
-rows one by one, as one sum over the view's rows adds them: a view split
-over blocks carries its running sum in the row in front of each later
-block's scores, so pass 1 has the bits of unsplit views. Pass 2 weighs each
-block's exp scores E by the gradient's coefficients,
+whole, and a group of views (K <= _ROW_BLOCK / 2) is one block. One
+scorer, _exp_blocks, runs the blocks of every tile in both passes: it folds
+and scores a block's rows, masks, shifts and exps them, and each pass reads
+the exp scores it yields. A block's same-sample scores form a diagonal that
+the mask sets through a view. Row sums, row maxima and a row's pass-2
+product are whole rows in any block. A mirrored tile's column sums in pass
+1 are added down each anchor view's rows one by one, as one sum over the
+view's rows adds them: a view split over blocks carries its running sum in
+the free row in front of each later block's scores, so pass 1 has the bits
+of unsplit views. Pass 2 weighs each block's exp scores E by the gradient's
+coefficients,
 W = E * (c_rows + c_cols^T) (by c_rows alone where the tile is one-sided),
 and takes every term from two d-wide products: W @ C for the rows and, in a
 mirrored or one-sided tile, W^T @ A_block for the columns. The latter has
@@ -78,28 +81,18 @@ same. The map holds no memory: each tile and each task makes its own arrays
 as it starts.
 
 Memory: a kernel call keeps one copy of each array that a pass reads, and
-each tile folds only the rows it scores, [z/tau, -1/tau] for anchors and
-[z, 1] for candidates: its candidate views once, its anchor rows one block
-at a time. The positives' GEMMs fold one row block of samples at a time; a
-call that is one tile of one block (every call of the gradient oracle)
-reads that tile's folds. Through pass 1 a call holds, besides its inputs
-and its running tiles' arrays, the negative sums and the row shifts below
-the shift limit, which pass 2 reads too. The per-target arrays made from
-the sums die before pass 2, which holds the negative-score coefficients
+each tile folds only the rows it scores; _exp_blocks states what a running
+tile holds to score them. The positives' GEMMs fold one row block of samples
+at a time; a call that is one tile of one block (every call of the gradient
+oracle) reads that tile's folds. Through pass 1 a call holds, besides its
+inputs and its running tiles' arrays, the negative sums and the row shifts
+below the shift limit, which pass 2 reads too. The per-target arrays made
+from the sums die before pass 2, which holds the negative-score coefficients
 (Ma, K, Mc), the gradients and the increments of at most twice the pool's
-width of tiles: (va, K, d) for a tile's rows and (vb, K, d) for its
-columns. The positives' candidate term joins the gradient one row block at
-a time. A running pass-1 tile holds its candidate folds, its largest
-block's anchor folds and that block's scores behind one carried row. A
-running pass-2 tile holds its candidate folds, its largest block's anchor
-folds and weighted scores W, the weights of _WEIGHT_ROWS rows of a
-symmetric tile, and a later block's column increments. At K = 1024, M = 10
-and 128-row blocks each copy of the embeddings is 2.5 MiB, a view's folds
-0.26 MiB, a running tile's arrays 1.3 MiB in pass 1 and 1.8 MiB in pass 2,
-and a tile's increments 0.5 MiB. A step's tracemalloc peaks there, at pool
-width 2: 6.1 MiB through pass 1 (8.6 for suffstats, whose rest-set
-statistics are a second input), 10.2-12.8 MiB through the loss terms and
-10.9-12.0 MiB through pass 2 (16.0 for suffstats).
+width of tiles: (va, K, d) for a tile's rows and (vb, K, d) for its columns.
+The positives' candidate term joins the gradient one row block at a time. A
+running pass-2 tile also holds the weights of _WEIGHT_ROWS rows of a
+symmetric tile and a later block's column increments.
 """
 
 from __future__ import annotations
@@ -240,7 +233,7 @@ def _check_objective(method: Method, m: int, tau: float) -> None:
         raise ValueError(f"unknown method: {method!r}")
     if method is Method.INFONCE and m != 2:
         raise ValueError(f"infonce requires M = 2, got M = {m}")
-    if not (isinstance(tau, (int, float)) and MIN_TAU <= tau < math.inf):
+    if isinstance(tau, bool) or not (isinstance(tau, (int, float)) and MIN_TAU <= tau < math.inf):
         raise ValueError(f"temperature tau must be a finite real >= {MIN_TAU:.3g}, at which "
                          f"squared losses cannot overflow, got {tau}")
 
@@ -384,25 +377,42 @@ def _hat(views, inv_tau, out):
     return out
 
 
-def _exp_tile(a_hat, c_hat, k, tile, block, shift, fill, s):
-    """exp of one block (i0, i1) of a tile's shifted scores as (va, n, vb, K),
-    every same-sample entry zero, written into s (va * n, vb * K). a_hat holds
-    the block's folded anchor rows and c_hat the tile's folded candidate rows.
-    shift is None under the constant shift; else the per-row, per-view
-    shifts, whose rows of this block fill takes from its maxima."""
+def _exp_blocks(anchors, cands, tau, tile, blocks, shift, fill):
+    """A tile's exp scores, one row block at a time, for va anchor views
+    [a0, a1) against vb candidate views [b0, b1). The tile folds its candidate
+    views once, into c_hat (..., vb * K, d + 1), and makes one anchor fold and
+    one score buffer, sized by the first and largest block. For each block
+    (i0, i1) of n = i1 - i0 rows, in order, it folds the block's anchor rows
+    into a_hat (..., va * n, d + 1), scores them against c_hat into s
+    (..., 1 + va * n, vb * K) behind one free row, sets every same-sample
+    score to -inf, fills or applies the row shifts, takes the exp in place
+    and yields (i0, i1, s, e, a_hat, c_hat), where e is s[..., 1:, :] as
+    (..., va, n, vb, K). The free row is the caller's; the next block
+    overwrites every array but c_hat. shift is None under the constant
+    shift; else the per-row, per-view shifts, whose rows of each block fill
+    takes from its maxima."""
+    *lead, _, k, d = anchors.shape
     a0, a1, b0, b1 = tile[:4]
-    i0, i1 = block
-    np.matmul(a_hat, np.swapaxes(c_hat, -1, -2), out=s)
-    e = s.reshape(*s.shape[:-2], a1 - a0, i1 - i0, b1 - b0, k)
-    # Row i0 + r's own sample is column i0 + r of each candidate view, a
-    # diagonal set through a view; exp(-inf) is 0, and -inf is no row's max.
-    np.einsum("...arbr->...arb", e[..., i0:i1])[...] = -np.inf
-    if shift is not None:
-        rows = shift[..., a0:a1, i0:i1, b0:b1]
-        if fill:
-            rows[...] = e.max(axis=-1)
-        e -= rows[..., None]
-    return np.exp(e, out=e)
+    va, cols = a1 - a0, (b1 - b0) * k
+    n = blocks[0][1]  # the first block is the largest
+    c_hat = _hat(cands[..., b0:b1, :, :], None, np.empty((*lead, cols, d + 1)))
+    folded = np.empty((*lead, va * n, d + 1))
+    buffer = np.empty(math.prod(lead) * (1 + va * n) * cols)
+    for i0, i1 in blocks:
+        rows = va * (i1 - i0)
+        a_hat = _hat(anchors[..., a0:a1, i0:i1, :], 1.0 / tau, folded[..., :rows, :])
+        s = buffer[:math.prod(lead) * (1 + rows) * cols].reshape(*lead, 1 + rows, cols)
+        np.matmul(a_hat, np.swapaxes(c_hat, -1, -2), out=s[..., 1:, :])
+        e = s[..., 1:, :].reshape(*lead, va, i1 - i0, b1 - b0, k)
+        # Row i0 + r's own sample is column i0 + r of each candidate view, a
+        # diagonal set through a view; exp(-inf) is 0, and -inf is no row's max.
+        np.einsum("...arbr->...arb", e[..., i0:i1])[...] = -np.inf
+        if shift is not None:
+            block_shift = shift[..., a0:a1, i0:i1, b0:b1]
+            if fill:
+                block_shift[...] = e.max(axis=-1)
+            e -= block_shift[..., None]
+        yield i0, i1, s, np.exp(e, out=e), a_hat, c_hat
 
 
 def _candidate_set_loss(anchors, cands, tau, log_mean_exp, per_view, want_grad):
@@ -435,30 +445,22 @@ def _candidate_set_loss(anchors, cands, tau, log_mean_exp, per_view, want_grad):
     # one-sided tile has no mirrored pair and weighs by c_rows alone. A
     # block's rows take their terms from W @ C_b, whole in any block; a
     # mirrored or one-sided tile's columns take theirs from W^T @ A_block,
-    # which a split tile sums over its blocks in block order. A tile makes
-    # its own arrays as it starts: its folded candidate rows, room for its
-    # largest block's folded anchor rows and W, the weights of _WEIGHT_ROWS
-    # rows of a symmetric tile, its increments (gradient, first view, last
-    # view + 1, value) and a later block's column increments. The calling
-    # thread adds the increments in tile order.
+    # which a split tile sums over its blocks in block order, through a later
+    # block's increments. A tile returns its increments (gradient, first view,
+    # last view + 1, value), and the calling thread adds them in tile order.
     def tile_increments(tile):
         a0, a1, b0, b1, mirrored = tile
         va, vb = a1 - a0, b1 - b0
-        n = blocks[0][1]  # the first block is the largest
         zb = cands[b0:b1].reshape(vb * k, d)
         c_cols = coeff[b0:b1, :, a0:a1].transpose(2, 0, 1)
-        c_hat = _hat(zb, None, np.empty((vb * k, d + 1)))
-        a_hat = np.empty((va * n, d + 1))
-        scores = np.empty(va * n * vb * k)
-        weights = np.empty((min(n, _WEIGHT_ROWS) * symmetric, vb, k))
-        inc_a = np.empty((va, k, d))
-        inc_c = np.empty((vb if mirrored or not symmetric else 0, k, d))
-        later = np.empty_like(inc_c) if len(blocks) > 1 else None
-        for j, (i0, i1) in enumerate(blocks):
-            rows = va * (i1 - i0)
-            s = scores[:rows * vb * k].reshape(rows, vb * k)
-            e = _exp_tile(_hat(anchors[a0:a1, i0:i1], 1.0 / tau, a_hat[:rows]), c_hat, k, tile,
-                          (i0, i1), shift, False, s)
+        for i0, i1, s, e, _, _ in _exp_blocks(anchors, cands, tau, tile, blocks, shift, False):
+            # After the scorer's arrays: made before them, these left a fig3
+            # run's peak RSS 0.6-0.8 MiB higher, through glibc's placement.
+            if i0 == 0:
+                weights = np.empty((min(i1, _WEIGHT_ROWS) * symmetric, vb, k))
+                inc_a = np.empty((va, k, d))
+                inc_c = np.empty((vb if mirrored or not symmetric else 0, k, d))
+                later = np.empty_like(inc_c) if len(blocks) > 1 else None
             c_rows = coeff[a0:a1, i0:i1, b0:b1, None]
             if not symmetric:
                 e *= c_rows
@@ -467,11 +469,11 @@ def _candidate_set_loss(anchors, cands, tau, log_mean_exp, per_view, want_grad):
                     rows = e[a, r0:r0 + _WEIGHT_ROWS]
                     rows *= np.add(c_rows[a, r0:r0 + _WEIGHT_ROWS], c_cols[a],
                                    out=weights[:len(rows)])
-            np.matmul(s.reshape(va, i1 - i0, vb * k), zb, out=inc_a[:, i0:i1])
+            np.matmul(s[1:].reshape(va, i1 - i0, vb * k), zb, out=inc_a[:, i0:i1])
             if inc_c.size:
-                np.matmul(s.T, anchors[a0:a1, i0:i1].reshape(-1, d),
-                          out=(inc_c if j == 0 else later).reshape(vb * k, d))
-                if j > 0:
+                np.matmul(s[1:].T, anchors[a0:a1, i0:i1].reshape(-1, d),
+                          out=(later if i0 else inc_c).reshape(vb * k, d))
+                if i0:
                     inc_c += later
         return [(grad_a, a0, a1, inc_a)] + [(grad_c, b0, b1, inc_c)] * bool(inc_c.size)
 
@@ -532,11 +534,9 @@ def _loss_terms(anchors, cands, tau, plan, shift, log_mean_exp, per_view, want_g
 
 def _pass_one(anchors, cands, tau, plan, shift):
     """Pass 1: the positives' shifted scores (..., Ma, K, T) and the negative
-    sums (..., Ma, K, Mc) of every anchor row. Each tile folds the rows it
-    scores: its candidate views once, and its anchor rows block by block.
-    The positives fold one row block of samples at a time, except that a
-    call that is one tile of one block reads that tile's folds of every
-    row."""
+    sums (..., Ma, K, Mc) of every anchor row. The positives fold one row
+    block of samples at a time, except that a call that is one tile of one
+    block reads that tile's folds of every row."""
     *lead, ma, k, d = anchors.shape
     mc = cands.shape[-3]
     _, tiles, gather, blocks = plan
@@ -548,32 +548,23 @@ def _pass_one(anchors, cands, tau, plan, shift):
     # that row's shift for the view. A tile writes its own slices of neg and
     # fills its own shifts, slices that no other tile writes. A mirrored
     # tile's column sums run down each anchor view's rows in order: a view
-    # split over several blocks carries its running sum in the row in front
-    # of each later block's scores.
+    # split over several blocks carries its running sum in the free row in
+    # front of each later block's scores.
     def tile_sums(tile):
         a0, a1, b0, b1, mirrored = tile
-        va, cols = a1 - a0, (b1 - b0) * k
-        c_hat = _hat(cands[..., b0:b1, :, :], None, np.empty((*lead, cols, d + 1)))
-        # The largest block's folded anchor rows, and its scores behind one
-        # row for a carried column sum.
-        folded = np.empty((*lead, va * n, d + 1))
-        buffer = np.empty(math.prod(lead) * (1 + va * n) * cols)
-        for i0, i1 in blocks:
-            rows = va * (i1 - i0)
-            a_hat = _hat(anchors[..., a0:a1, i0:i1, :], 1.0 / tau, folded[..., :rows, :])
-            s = buffer[:math.prod(lead) * (1 + rows) * cols].reshape(*lead, 1 + rows, cols)
-            e = _exp_tile(a_hat, c_hat, k, tile, (i0, i1), shift, True, s[..., 1:, :])
+        va, vb = a1 - a0, b1 - b0
+        for i0, i1, s, e, a_hat, c_hat in _exp_blocks(anchors, cands, tau, tile, blocks, shift,
+                                                      True):
             neg[..., a0:a1, i0:i1, b0:b1] = e.sum(axis=-1)
             if mirrored:
                 if i0 > 0:
                     s[..., :1, :] = carried
-                carried = s[..., int(i0 == 0):, :].reshape(*lead, va, -1, cols).sum(axis=-2)
+                carried = s[..., int(i0 == 0):, :].reshape(*lead, va, -1, vb * k).sum(axis=-2)
         if mirrored:
-            neg[..., b0:b1, :, a0:a1] = np.moveaxis(carried.reshape(*lead, va, b1 - b0, k), -3, -1)
+            neg[..., b0:b1, :, a0:a1] = np.moveaxis(carried.reshape(*lead, va, vb, k), -3, -1)
         return (a_hat, c_hat) if whole else None
 
-    for folds in _ordered_map(tile_sums, tiles):
-        pass
+    *_, folds = _ordered_map(tile_sums, tiles)
     # Positives straight from the shifted scores: (Ma, Mc) per-sample GEMMs,
     # one row block of samples at a time.
     if whole:

@@ -34,7 +34,7 @@ take and return immutable dataclasses, so equal inputs give bit-equal outputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -54,7 +54,8 @@ D_IN = 1
 D_HIDDEN = 32
 D_OUT = 32
 
-_PARAM_FIELDS = ("w1", "b1", "w2", "b2")
+_PARAM_SHAPES = {"w1": (D_HIDDEN, D_IN), "b1": (D_HIDDEN,), "w2": (D_OUT, D_HIDDEN), "b2": (D_OUT,)}
+_PARAM_FIELDS = tuple(_PARAM_SHAPES)
 # Perturbed parameter sets per oracle pass. Each pass pays a fixed Python
 # cost, and memory grows with the width. Best of 9 on a 2-core host, ms per
 # (4, 3) batch: 34.4 at 32 sets, 32.5 at 96, 29.5 at 128, 29.8 at 192, 35.1
@@ -98,13 +99,7 @@ class MlpParams:
     b2: np.ndarray  # (32,)
 
     def __post_init__(self) -> None:
-        shapes = {
-            "w1": (D_HIDDEN, D_IN),
-            "b1": (D_HIDDEN,),
-            "w2": (D_OUT, D_HIDDEN),
-            "b2": (D_OUT,),
-        }
-        for name, want in shapes.items():
+        for name, want in _PARAM_SHAPES.items():
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             object.__setattr__(self, name, arr)
             if arr.shape != want:
@@ -114,12 +109,7 @@ class MlpParams:
 
     @classmethod
     def zeros(cls) -> "MlpParams":
-        return cls(
-            w1=np.zeros((D_HIDDEN, D_IN)),
-            b1=np.zeros(D_HIDDEN),
-            w2=np.zeros((D_OUT, D_HIDDEN)),
-            b2=np.zeros(D_OUT),
-        )
+        return cls(**{name: np.zeros(shape) for name, shape in _PARAM_SHAPES.items()})
 
     def as_dict(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in _PARAM_FIELDS}
@@ -145,6 +135,16 @@ class AdamWState:
         return cls(m=MlpParams.zeros(), v=MlpParams.zeros(), step=0)
 
 
+def _check_types(config) -> None:
+    """Refuse a bool in any field of dataclass config but a bool one, and a
+    value that is not an integer (numpy's included) in an int field."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, bool) and f.type != "bool" or (
+                f.type == "int" and not isinstance(value, (int, np.integer))):
+            raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Optimizer and schedule settings; defaults match the desk experiment
@@ -159,6 +159,7 @@ class TrainConfig:
     fixed_dataset: bool = False  # reuse the first batch every epoch (ablation)
 
     def __post_init__(self) -> None:
+        _check_types(self)
         if not self.learning_rate > 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.weight_decay < 0:

@@ -20,6 +20,11 @@ Families:
   loss_and_grads    per-sample losses and parameter gradients, encoder
                     rows of the shapes above with K * M <= 4096
   oracle            finite_difference_grads on criterion_02's 130 batches
+  stacked           loss-only _per_sample_loss of three batches of unit
+                    Gaussian rows (d = 32) stacked on a leading axis, at
+                    (K, M) = (129, 3), (257, 2) and (130, 5): several tiles,
+                    views split over row blocks and a ragged last block;
+                    every method (infonce at M = 2 only), tau as above
   pool tasks        evaluation rows (harness._eval_row: eval_loss and bound)
                     of the seed-7 init encoder at K = 1024, M in {2, 10}, 16
                     batches, every method; variance_study at K = 64, M = 4,
@@ -43,6 +48,8 @@ from polyview.losses import (
     EmbeddingBatch,
     Method,
     _loss_and_zgrad,
+    _per_sample_loss,
+    _view_major,
     compute_loss,
     l2_normalize,
     loss_pair_infonce,
@@ -57,6 +64,7 @@ from polyview.tinynn import (
 )
 
 SHAPES = ((1024, 2), (1024, 4), (1024, 10), (200, 3), (64, 10), (16, 5), (4, 3))
+STACKED_SHAPES = ((129, 3), (257, 2), (130, 5))
 TAUS = (0.5, 1e-3)
 SEED = 7
 PARAMS = init_params(streams.stream(SEED, streams.INIT))
@@ -127,6 +135,17 @@ def oracle_arrays():
                 yield from finite_difference_grads(params, batch, method, 0.5).as_dict().values()
 
 
+def stacked_arrays():
+    for k, m in STACKED_SHAPES:
+        z = l2_normalize(streams.stream(SEED, streams.TEST, a=k, b=m + 2000)
+                         .standard_normal((3, k, m, 32)))
+        for method in Method:
+            if method is Method.INFONCE and m != 2:
+                continue
+            for tau in TAUS:
+                yield _per_sample_loss(method, _view_major(method, z, tau), tau, False)[0]
+
+
 def pool_arrays():
     for m in (2, 10):
         for method in Method:
@@ -161,6 +180,7 @@ def main() -> None:
     for name, arrays in (("compute_loss", loss_arrays()), ("_loss_and_zgrad", zgrad_arrays()),
                          ("loss_pair_infonce", pair_arrays()),
                          ("loss_and_grads", step_arrays()), ("oracle", oracle_arrays()),
+                         ("stacked", stacked_arrays()),
                          ("pool tasks", pool_arrays()),
                          ("_erf", map(_erf, draws())), ("gelu", gelu_arrays())):
         print(f"{name:17s} {digest(arrays)}")

@@ -90,6 +90,30 @@ class TestRunSpec:
         with pytest.raises(ValueError):
             tiny_spec(**kw)
 
+    @pytest.mark.parametrize("kw, message", [
+        (dict(seed=True), "seed must be int, got True"),
+        (dict(seed=3.0), "seed must be int, got 3.0"),
+        (dict(m=2.0), "m must be int, got 2.0"),
+        (dict(k=8.0), "k must be int, got 8.0"),
+        (dict(eval_batches=1.0), "eval_batches must be int, got 1.0"),
+        (dict(record_stride=True), "record_stride must be int, got True"),
+        (dict(sigma_sq=True), "sigma_sq must be float, got True"),
+        (dict(tau=True), "tau must be float, got True"),
+    ], ids=["seed-bool", "seed-float", "m-float", "k-float", "eval_batches-float",
+            "record_stride-bool", "sigma_sq-bool", "tau-bool"])
+    def test_rejects_wrong_number_types(self, kw, message):
+        # seed=True used to run and write "True" into the CSV's seed column,
+        # which read_csv_rows refuses; m=2.0 failed mid-run with a TypeError.
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            tiny_spec(**kw)
+
+    def test_accepts_numpy_integers(self, tmp_path):
+        spec = tiny_spec(m=np.int64(2), k=np.int32(8), seed=np.uint64(3),
+                         eval_batches=np.int16(1), train=TrainConfig(epochs=np.int64(1)))
+        path = run_path(str(tmp_path), spec)
+        run_training(spec).write(path)
+        assert [(r.seed, r.epoch) for r in read_csv_rows(path)] == [(3, 0), (3, 1)]
+
     def test_method_must_be_a_method(self):
         # A token is refused here, not by an AttributeError in run_sweep.
         with pytest.raises(ValueError, match="^unknown method: 'geometric'$"):
@@ -742,16 +766,20 @@ class TestAggregate:
 
     @pytest.mark.parametrize("second, name", [
         (dict(k=16, seed=1), "b.csv"), (dict(train=TrainConfig(epochs=3), seed=1), "b.csv"),
-        ({}, "copy.csv")],
-        ids=["mixed-k", "mixed-final-epoch", "repeated-seed"])
+        ({}, "copy.csv"), (dict(sigma_sq=0.5, seed=1), "b.csv"),
+        (dict(sigma0_sq=2.0, seed=1), "b.csv")],
+        ids=["mixed-k", "mixed-final-epoch", "repeated-seed", "mixed-sigma-sq",
+             "mixed-sigma0-sq"])
     def test_mixed_group_refused(self, tmp_path, second, name):
-        # One (method, M) group must hold one K, one final epoch and
-        # distinct seeds; otherwise its means would mix runs of other settings.
+        # One (method, M) group must hold one K, one final epoch, one true MI
+        # and distinct seeds; otherwise its means would mix runs of other
+        # settings. At sigma_sq = 0.25 and 0.5 the true MI reads 0.5108 and
+        # 0.2939, and the two runs used to make one row with n_seeds 2.
         first = tiny_spec(method=Method.GEOMETRIC_PVC, train=TrainConfig(epochs=2))
         run_training(first).write(str(tmp_path / "a.csv"))
         run_training(replace(first, **second)).write(str(tmp_path / name))
-        with pytest.raises(ValueError, match=r"the geometric M = 2 runs mix K or final epochs, "
-                                             r"or repeat a seed$"):
+        with pytest.raises(ValueError, match=r"the geometric M = 2 runs mix K, final epochs or "
+                                             r"true MI, or repeat a seed$"):
             aggregate(str(tmp_path))
 
     def test_empty_dir_rejected(self, tmp_path):

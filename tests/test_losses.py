@@ -315,10 +315,10 @@ class TestIdentities:
         assert a.total == b.total
 
     @pytest.mark.parametrize("tau", [0.0, -0.5, math.inf, math.nan, 1e-310, 1e-160,
-                                     np.nextafter(losses.MIN_TAU, 0.0)])
+                                     np.nextafter(losses.MIN_TAU, 0.0), True])
     def test_rejects_bad_temperature(self, tau):
         # 1e-310 is positive and finite, but its reciprocal overflows to inf;
-        # below MIN_TAU a squared loss can overflow.
+        # below MIN_TAU a squared loss can overflow; True used to score at 1.
         batch = random_embedding_batch(3, 2, 2, case=44)
         with pytest.raises(ValueError, match="temperature tau"):
             compute_loss(Method.GEOMETRIC_PVC, batch, tau)

@@ -655,6 +655,18 @@ class TestAdamW:
             TrainConfig(epochs=-1)
         TrainConfig(epochs=0)  # untrained-evaluation runs are legal
 
+    @pytest.mark.parametrize("kw, message", [
+        (dict(epochs=2.0), "epochs must be int, got 2.0"),
+        (dict(epochs=True), "epochs must be int, got True"),
+        (dict(learning_rate=True), "learning_rate must be float, got True"),
+        (dict(beta1=False), "beta1 must be float, got False"),
+    ], ids=["epochs-float", "epochs-bool", "learning_rate-bool", "beta1-bool"])
+    def test_config_number_types(self, kw, message):
+        # A bool is no number here, and an int field takes integers only.
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TrainConfig(**kw)
+        assert TrainConfig(epochs=np.int64(3), fixed_dataset=True).epochs == 3
+
     def test_state_validation(self):
         bad_v = MlpParams.zeros()
         object.__setattr__(bad_v, "w1", np.full((D_HIDDEN, D_IN), -1.0))
