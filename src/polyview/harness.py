@@ -13,7 +13,9 @@ Every run is a pure function of its RunSpec: parameters come from the INIT
 stream, epoch t trains on the TRAIN_BATCH stream keyed by t, and recorded
 epochs evaluate on fresh EVAL_BATCH streams keyed by (epoch, batch index).
 Equal specs therefore produce byte-identical CSV files, which also makes
-sweeps resumable: a finished per-run file is trusted and skipped.
+sweeps resumable: a finished per-run file whose rows match its spec is
+trusted and skipped. Runs of one sweep that compute the same thing
+(Method.at) train once.
 
 Evaluation protocol: at each recorded epoch the loss is averaged over
 eval_batches fresh held-out batches (never the training batch), and the
@@ -40,7 +42,7 @@ import math
 import os
 import platform
 import time
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -120,6 +122,12 @@ class RunSpec:
 
     def true_mi(self) -> float:
         return true_one_vs_rest_mi(self.sigma0_sq, self.sigma_sq, self.m)
+
+    def recorded_epochs(self) -> list[int]:
+        """The epochs a run records: 0, every record_stride-th, and the last."""
+        last = self.train.epochs
+        epochs = list(range(0, last + 1, self.record_stride))
+        return epochs if epochs[-1] == last else epochs + [last]
 
 
 @dataclass(frozen=True)
@@ -254,6 +262,7 @@ def run_training(spec: RunSpec) -> RunRecord:
     state = AdamWState.initial()
     cfg = spec.gaussian()
     rows: list[RunRow] = []
+    recorded = set(spec.recorded_epochs())
     epoch = 0
     try:
         rows.append(_eval_row(spec, params, 0, None))
@@ -265,7 +274,7 @@ def run_training(spec: RunSpec) -> RunRecord:
             if not math.isfinite(result.total):
                 raise _NumericalError(f"training loss is {result.total}")
             params, state = adamw_step(params, grads, state, spec.train)
-            if epoch % spec.record_stride == 0 or epoch == spec.train.epochs:
+            if epoch in recorded:
                 rows.append(_eval_row(spec, params, epoch, result.total))
     except (_NumericalError, FloatingPointError) as exc:
         raise NumericalFailure(
@@ -381,11 +390,15 @@ def run_path(out_dir: str, spec: RunSpec) -> str:
 
 
 def _is_complete(path: str, spec: RunSpec) -> bool:
+    """Whether path holds spec's finished run: every row has spec's method,
+    M, K, seed and true MI, and the rows are the epochs spec records."""
     try:
         rows = read_csv_rows(path)
     except (ValueError, OSError):
         return False
-    return bool(rows) and rows[-1].epoch == spec.train.epochs
+    want = (spec.method.value, spec.m, spec.k, spec.seed, spec.true_mi())
+    return ([r.epoch for r in rows] == spec.recorded_epochs()
+            and all((r.method, r.m, r.k, r.seed, r.true_mi) == want for r in rows))
 
 
 @dataclass(frozen=True)
@@ -396,23 +409,39 @@ class SweepResult:
     message: str = ""
 
 
-def _sweep_worker(args: tuple[RunSpec, str]) -> SweepResult:
-    spec, path = args
+def _computation(spec: RunSpec) -> RunSpec:
+    """The run that computes spec's: spec with the method of Method.at."""
+    return replace(spec, method=spec.method.at(spec.m))
+
+
+def _sweep_worker(members: list[tuple[RunSpec, str]]) -> list[SweepResult]:
+    """Train the one computation of members, (spec, path) pairs with equal
+    _computation, and write each member's rows with its own method cells:
+    to its path, or to path + ".partial" on a NumericalFailure."""
     try:
-        run_training(spec).write(path)
-        return SweepResult(spec=spec, path=path, status="ran")
+        record, status, message = run_training(_computation(members[0][0])), "ran", ""
     except NumericalFailure as exc:
-        exc.record.write(path + ".partial")
-        return SweepResult(spec=spec, path=path, status="failed", message=str(exc))
+        record, status, message = exc.record, "failed", str(exc)
+    results = []
+    for spec, path in members:
+        rows = tuple(replace(row, method=spec.method.value) for row in record.rows)
+        RunRecord(spec=spec, rows=rows).write(path if status == "ran" else path + ".partial")
+        results.append(SweepResult(spec=spec, path=path, status=status, message=message))
+    return results
 
 
 def run_sweep(sweep: SweepSpec, out_dir: str) -> list[SweepResult]:
     """Execute every run of the sweep into out_dir, one CSV per
-    (method, M, seed). Complete files from earlier invocations are trusted
-    (runs are byte-deterministic) and skipped; failures are recorded and the
-    sweep continues. A directory whose sweep.json records other shared run
-    settings, or whose sweep.json or failures.json is malformed, is refused
-    with ValueError before anything is written.
+    (method, M, seed). A complete file from an earlier invocation (its rows
+    carry the run's method, M, K, seed, true MI and recorded epochs) is
+    trusted, since runs are byte-deterministic, and skipped; failures are
+    recorded and the sweep continues. Runs to do that share one computation
+    (Method.at: at M = 2 arithmetic computes geometric and infonce
+    multicrop) train once; each writes its CSV, or its partial record, from
+    that training with its own method cells, and reports "ran" or "failed"
+    itself. A directory whose sweep.json records other shared run settings,
+    or whose sweep.json or failures.json is malformed, is refused with
+    ValueError before anything is written.
 
     A failed run leaves its partial record in <run>.csv.partial, which goes
     once the run completes. failures.json lists the directory's runs whose
@@ -443,7 +472,10 @@ def run_sweep(sweep: SweepSpec, out_dir: str) -> list[SweepResult]:
         else:
             pending.append((spec, path))
 
-    if sweep.jobs > 1 and len(pending) > 1:
+    groups: dict[RunSpec, list[tuple[RunSpec, str]]] = {}
+    for spec, path in pending:
+        groups.setdefault(_computation(spec), []).append((spec, path))
+    if sweep.jobs > 1 and len(groups) > 1:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
@@ -454,14 +486,16 @@ def run_sweep(sweep: SweepSpec, out_dir: str) -> list[SweepResult]:
         try:
             with ProcessPoolExecutor(max_workers=sweep.jobs,
                                      mp_context=multiprocessing.get_context("spawn")) as pool:
-                results += pool.map(_sweep_worker, pending)
+                done = list(pool.map(_sweep_worker, groups.values()))
         finally:
             if saved is None:
                 del os.environ["OPENBLAS_NUM_THREADS"]
             else:
                 os.environ["OPENBLAS_NUM_THREADS"] = saved
     else:
-        results += map(_sweep_worker, pending)
+        done = list(map(_sweep_worker, groups.values()))
+    by_path = {r.path: r for group in done for r in group}
+    results += [by_path[path] for _, path in pending]
 
     _record_failures(failures_path, failed, results)
     return results
@@ -921,7 +955,10 @@ def criterion_02() -> CheckResult:
 
 
 def criterion_03a() -> CheckResult:
-    """The arithmetic and geometric objectives coincide at M = 2."""
+    """The arithmetic and geometric objectives coincide at M = 2. Both run
+    one kernel call there (Method.at), so this compares one path with
+    itself; tests/reference.py's long-double referee still grades
+    arithmetic at M = 2 against its own log-mean-exp."""
     worst = 0.0
     for i in range(50):
         rng = streams.stream(29, streams.TEST, a=i)

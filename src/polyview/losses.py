@@ -20,9 +20,11 @@ statistics), leaves every same-sample candidate out of the negative sums
 positive straight from its score, and aggregates the per-target
 log-likelihoods by their mean or log-mean-exp (one target: the mean of one).
 Method.pairwise says which objectives keep negatives in the positive's
-view. Every caller, the encoder's step and gradient oracle too, reaches the
-kernel through one gate, _view_major, which checks the objective and copies
-the rows; _normalize_rows normalizes every row here and in the encoder.
+view, and Method.at which kernel call computes an objective at M views:
+at M = 2 arithmetic runs geometric's and infonce multicrop's. Every caller,
+the encoder's step and gradient oracle too, reaches the kernel through one
+gate, _view_major, which checks the objective and copies the rows;
+_normalize_rows normalizes every row here and in the encoder.
 
 Shift rule: unit rows keep every score in [-1/tau, 1/tau]. Anchors scaled
 by 1/tau get a column -1/tau and candidates a column of ones, so the score
@@ -149,6 +151,16 @@ class Method(enum.Enum):
     def pairwise(self) -> bool:
         """K candidates per target, negatives only in the positive's view (else KM - M + 1)."""
         return self in (Method.INFONCE, Method.MULTICROP)
+
+    def at(self, m: int) -> "Method":
+        """The method whose kernel call computes this objective at M = m views.
+        At M = 2 each anchor has one target, so the arithmetic mean of its one
+        likelihood is the geometric mean, and infonce's pair loss is multicrop;
+        otherwise the method itself."""
+        if m == 2:
+            return {Method.ARITHMETIC_PVC: Method.GEOMETRIC_PVC,
+                    Method.INFONCE: Method.MULTICROP}.get(self, self)
+        return self
 
     @classmethod
     def from_token(cls, token: str) -> "Method":
@@ -603,8 +615,10 @@ def loss_pair_infonce(z: EmbeddingBatch, alpha: int, beta: int, tau: float) -> L
 def compute_loss(method: Method, z: EmbeddingBatch, tau: float) -> LossResult:
     """Dispatch to the objective named by method.
 
-    INFONCE is the symmetric two-view pair loss and requires M = 2; at M = 2
-    it coincides with MULTICROP.
+    INFONCE is the symmetric two-view pair loss and requires M = 2. At M = 2
+    it coincides with MULTICROP and ARITHMETIC_PVC with GEOMETRIC_PVC, and
+    each pair runs one kernel call (Method.at), so their losses and
+    gradients have the same bits.
     """
     return _loss_and_zgrad(method, z, tau, want_grad=False)[0]
 
@@ -626,7 +640,9 @@ def _view_major(method: Method, z: np.ndarray, tau: float) -> np.ndarray:
 
 def _per_sample_loss(method: Method, zt: np.ndarray, tau: float, want_grad: bool):
     """Per-sample losses (..., K) of view-major unit rows zt (..., M, K, d),
-    and the gradient w.r.t. zt of a single batch (M, K, d) if want_grad."""
+    and the gradient w.r.t. zt of a single batch (M, K, d) if want_grad.
+    The kernel call is method.at(M)'s, so methods that coincide at M share it."""
+    method = method.at(zt.shape[-3])
     if method is not Method.SUFFSTATS:
         return _candidate_set_loss(zt, zt, tau, method is Method.ARITHMETIC_PVC,
                                    method.pairwise, want_grad)[:2]

@@ -30,6 +30,9 @@ Families:
                     batches, every method; variance_study at K = 64, M = 4,
                     64 batches; validity_study of each M-view method at
                     K = 64, M = 4, 16 batches: each batch a task of the pool
+  sweep             the run CSVs of two run_sweep calls at K = 64, 3
+                    epochs, seeds 0 and 1: every method at M = 2, and the
+                    four M-view methods at M = 3
   _erf, gelu        four sets of 262,144 draws (normal at scales 0.5, 2 and
                     5, uniform on [-8, 8]) in chunks of 32,768; gelu(x, dx)
                     gives its values and, with dx = 1, its derivative
@@ -39,11 +42,19 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import tempfile
 
 import numpy as np
 
 from polyview import streams
-from polyview.harness import RunSpec, _eval_row, validity_study, variance_study
+from polyview.harness import (
+    RunSpec,
+    SweepSpec,
+    _eval_row,
+    run_sweep,
+    validity_study,
+    variance_study,
+)
 from polyview.losses import (
     EmbeddingBatch,
     Method,
@@ -55,6 +66,7 @@ from polyview.losses import (
     loss_pair_infonce,
 )
 from polyview.tinynn import (
+    TrainConfig,
     _erf,
     finite_difference_grads,
     forward,
@@ -160,6 +172,16 @@ def pool_arrays():
         yield np.array([v for v in dataclasses.astuple(report) if isinstance(v, float)])
 
 
+def sweep_arrays():
+    for methods, m in ((tuple(Method), 2), (tuple(Method)[1:], 3)):
+        sweep = SweepSpec(methods=methods, m_values=(m,), seeds=(0, 1), k=64,
+                          train=TrainConfig(epochs=3))
+        with tempfile.TemporaryDirectory() as out:
+            for result in run_sweep(sweep, out):
+                with open(result.path, "rb") as fh:
+                    yield np.frombuffer(fh.read(), dtype=np.uint8)
+
+
 def draws():
     for i, draw in enumerate((lambda g, n: 0.5 * g.standard_normal(n),
                               lambda g, n: 2.0 * g.standard_normal(n),
@@ -181,7 +203,7 @@ def main() -> None:
                          ("loss_pair_infonce", pair_arrays()),
                          ("loss_and_grads", step_arrays()), ("oracle", oracle_arrays()),
                          ("stacked", stacked_arrays()),
-                         ("pool tasks", pool_arrays()),
+                         ("pool tasks", pool_arrays()), ("sweep", sweep_arrays()),
                          ("_erf", map(_erf, draws())), ("gelu", gelu_arrays())):
         print(f"{name:17s} {digest(arrays)}")
 

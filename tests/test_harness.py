@@ -340,6 +340,22 @@ class TestCommittedBytes:
         assert table.to_csv_text().encode() == summary.with_suffix(".csv").read_bytes()
         assert table.to_gnuplot_text().encode() == summary.with_suffix(".dat").read_bytes()
 
+    def test_runs_that_share_a_computation_differ_only_in_method(self):
+        # At M = 2 arithmetic computes geometric and infonce multicrop
+        # (Method.at), so their committed runs agree in every other column.
+        pairs = [(m.value, m.at(2).value) for m in Method if m.at(2) is not m]
+        assert sorted(pairs) == [("arithmetic", "geometric"), ("infonce", "multicrop")]
+        for seed in range(8):
+            for method, computation in pairs:
+                texts = [(FIG3 / f"{name}_m02_seed{seed:04d}.csv").read_text()
+                         for name in (method, computation)]
+                lines = [text.splitlines() for text in texts]
+                assert len(lines[0]) == 3  # the header, epochs 0 and 200
+                for name, each in zip((method, computation), lines):
+                    assert all(line.startswith(name + ",") for line in each[1:])
+                rest = [[line.split(",", 1)[1] for line in each] for each in lines]
+                assert rest[0] == rest[1], f"{method} and {computation}, seed {seed}"
+
     def test_fingerprint_matches_the_code(self):
         # Eight K = 1024 training steps, about 4 s. The epoch-0 guard of the
         # acceptance tests sees only loss-only evaluations of M = 2 runs.
@@ -563,6 +579,24 @@ class TestRunSweep:
         assert sorted(r.status for r in results) == ["cached"] * 3 + ["ran"]
         assert read_csv_rows(path)[-1].epoch == 2
 
+    @pytest.mark.parametrize("other", [
+        dict(k=8), dict(seed=1), dict(method=Method.MULTICROP), dict(m=3),
+        dict(sigma_sq=0.5), dict(record_stride=2),
+    ], ids=["k", "seed", "method", "m", "true-mi", "epochs"])
+    def test_finished_run_of_other_settings_is_rerun(self, tmp_path, other):
+        # A file that ends at the last epoch is not this run's unless its rows
+        # carry the run's method, M, K, seed and true MI at its recorded epochs.
+        sweep = SweepSpec(methods=(Method.GEOMETRIC_PVC,), m_values=(2,), seeds=(0,), k=16,
+                          train=TrainConfig(epochs=2), eval_batches=1)
+        (spec,) = sweep.expand()
+        path = run_path(str(tmp_path), spec)
+        stale = run_training(replace(spec, **other))
+        assert stale.final().epoch == 2
+        stale.write(path)
+        (result,) = run_sweep(sweep, str(tmp_path))
+        assert result.status == "ran"
+        assert Path(path).read_text() == run_training(spec).to_csv_text()
+
     def test_directory_with_other_settings_is_refused(self, tmp_path):
         out = str(tmp_path)
         first = SweepSpec(methods=(Method.GEOMETRIC_PVC,), m_values=(2,), seeds=(0,),
@@ -713,6 +747,86 @@ class TestRunSweep:
         assert os.path.exists(failed.path + ".partial")
         assert [r.status for r in run_sweep(one, out)] == ["ran"]
         assert not os.path.exists(os.path.join(out, "failures.json"))
+
+
+class TestSharedRuns:
+    """Runs of one sweep that share a computation (Method.at) train once."""
+
+    TWO_VIEWS = SweepSpec(methods=tuple(Method), m_values=(2,), seeds=(0, 1), k=8,
+                          train=TrainConfig(epochs=2), eval_batches=2)
+
+    @staticmethod
+    def counted(monkeypatch) -> list[RunSpec]:
+        calls, train = [], harness.run_training
+
+        def counting(spec):
+            calls.append(spec)
+            return train(spec)
+
+        monkeypatch.setattr(harness, "run_training", counting)
+        return calls
+
+    def test_five_method_two_view_sweep_trains_three_runs_per_seed(self, tmp_path, monkeypatch):
+        calls = self.counted(monkeypatch)
+        results = run_sweep(self.TWO_VIEWS, str(tmp_path))
+        assert sorted((s.seed, s.method.value) for s in calls) == [
+            (seed, method) for seed in (0, 1) for method in ("geometric", "multicrop", "suffstats")]
+        assert [r.spec for r in results] == self.TWO_VIEWS.expand()
+        assert [r.status for r in results] == ["ran"] * 10
+        monkeypatch.undo()
+        for r in results:
+            assert Path(r.path).read_text() == run_training(r.spec).to_csv_text(), r.path
+
+    def test_jobs_do_not_change_shared_bytes(self, tmp_path):
+        texts = []
+        for jobs in (1, 2):
+            results = run_sweep(replace(self.TWO_VIEWS, jobs=jobs), str(tmp_path / f"jobs{jobs}"))
+            assert [r.status for r in results] == ["ran"] * 10
+            texts.append([Path(r.path).read_bytes() for r in results])
+        assert texts[0] == texts[1]
+
+    def test_every_run_of_three_views_trains(self, tmp_path, monkeypatch):
+        calls = self.counted(monkeypatch)
+        sweep = replace(self.TWO_VIEWS, methods=tuple(Method)[1:], m_values=(3,))
+        results = run_sweep(sweep, str(tmp_path))
+        assert calls == sweep.expand()
+        assert [r.status for r in results] == ["ran"] * 8
+
+    def test_cached_member_is_not_trained_again(self, tmp_path, monkeypatch):
+        out = str(tmp_path)
+        sweep = replace(self.TWO_VIEWS, methods=(Method.ARITHMETIC_PVC, Method.GEOMETRIC_PVC),
+                        seeds=(0,))
+        arithmetic, geometric = sweep.expand()
+        run_sweep(sweep, out)
+        before = Path(run_path(out, arithmetic)).read_bytes()
+        os.remove(run_path(out, arithmetic))
+        calls = self.counted(monkeypatch)
+        results = run_sweep(sweep, out)
+        assert [(r.spec, r.status) for r in results] == [(geometric, "cached"),
+                                                         (arithmetic, "ran")]
+        assert calls == [geometric]
+        assert Path(run_path(out, arithmetic)).read_bytes() == before
+
+    def test_failed_computation_leaves_each_member_its_partial(self, tmp_path, monkeypatch):
+        out = str(tmp_path)
+        calls = self.counted(monkeypatch)
+        sweep = SweepSpec(methods=(Method.INFONCE, Method.ARITHMETIC_PVC, Method.GEOMETRIC_PVC),
+                          m_values=(2,), seeds=(0,), k=8,
+                          train=TrainConfig(learning_rate=1e200, epochs=4), eval_batches=1,
+                          record_stride=50)
+        with np.errstate(over="ignore", invalid="ignore"):
+            results = run_sweep(sweep, out)
+        assert [s.method for s in calls] == [Method.MULTICROP, Method.GEOMETRIC_PVC]
+        assert [r.status for r in results] == ["failed"] * 3
+        for r in results:
+            assert "numerical failure" in r.message
+            assert not os.path.exists(r.path)
+            rows = read_csv_rows(r.path + ".partial")
+            assert [(row.method, row.epoch) for row in rows] == [(r.spec.method.value, 0)]
+        with open(os.path.join(out, "failures.json")) as fh:
+            failures = json.load(fh)
+        assert failures == sorted(({"message": r.message, "path": r.path} for r in results),
+                                  key=lambda entry: entry["path"])
 
 
 class TestAggregate:

@@ -341,6 +341,21 @@ class TestIdentities:
         assert [method for method in Method if method.pairwise] == [Method.INFONCE,
                                                                     Method.MULTICROP]
 
+    @pytest.mark.parametrize("tau", [TAU, 1e-3])
+    def test_methods_that_coincide_share_one_kernel_call(self, tau):
+        # At M = 2 arithmetic runs geometric's call and infonce multicrop's,
+        # with the same candidate counts; at any other M each runs its own.
+        assert {m: m.at(2) for m in Method if m.at(2) is not m} == {
+            Method.ARITHMETIC_PVC: Method.GEOMETRIC_PVC, Method.INFONCE: Method.MULTICROP}
+        assert all(m.at(views) is m for m in Method for views in (3, 4, 10))
+        assert all(m.at(2).pairwise == m.pairwise for m in Method)
+        batch = random_embedding_batch(6, 2, 3, case=46)
+        for method in Method:
+            (got, got_grad), (want, want_grad) = (
+                _loss_and_zgrad(each, batch, tau) for each in (method, method.at(2)))
+            assert np.array_equal(got.per_sample, want.per_sample)
+            assert np.array_equal(got_grad, want_grad)
+
     def test_every_route_refuses_through_one_check(self):
         # _view_major is the gate: each route to the kernel refuses a bad
         # objective with _check_objective's one message.
