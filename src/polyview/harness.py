@@ -15,7 +15,8 @@ epochs evaluate on fresh EVAL_BATCH streams keyed by (epoch, batch index).
 Equal specs therefore produce byte-identical CSV files, which also makes
 sweeps resumable: a finished per-run file whose rows match its spec is
 trusted and skipped. Runs of one sweep that compute the same thing
-(Method.at) train once.
+(Method.at: at M = 2 arithmetic and suffstats run geometric's kernel call,
+infonce runs multicrop's) train once.
 
 Evaluation protocol: at each recorded epoch the loss is averaged over
 eval_batches fresh held-out batches (never the training batch), and the
@@ -436,12 +437,12 @@ def run_sweep(sweep: SweepSpec, out_dir: str) -> list[SweepResult]:
     carry the run's method, M, K, seed, true MI and recorded epochs) is
     trusted, since runs are byte-deterministic, and skipped; failures are
     recorded and the sweep continues. Runs to do that share one computation
-    (Method.at: at M = 2 arithmetic computes geometric and infonce
-    multicrop) train once; each writes its CSV, or its partial record, from
-    that training with its own method cells, and reports "ran" or "failed"
-    itself. A directory whose sweep.json records other shared run settings,
-    or whose sweep.json or failures.json is malformed, is refused with
-    ValueError before anything is written.
+    (Method.at: at M = 2 arithmetic and suffstats run geometric's kernel
+    call, infonce runs multicrop's) train once; each writes its CSV, or its
+    partial record, from that training with its own method cells, and
+    reports "ran" or "failed" itself. A directory whose sweep.json records
+    other shared run settings, or whose sweep.json or failures.json is
+    malformed, is refused with ValueError before anything is written.
 
     A failed run leaves its partial record in <run>.csv.partial, which goes
     once the run completes. failures.json lists the directory's runs whose

@@ -21,7 +21,8 @@ positive straight from its score, and aggregates the per-target
 log-likelihoods by their mean or log-mean-exp (one target: the mean of one).
 Method.pairwise says which objectives keep negatives in the positive's
 view, and Method.at which kernel call computes an objective at M views:
-at M = 2 arithmetic runs geometric's and infonce multicrop's. Every caller,
+at M = 2 arithmetic and suffstats run geometric's call, infonce runs
+multicrop's. Every caller,
 the encoder's step and gradient oracle too, reaches the kernel through one
 gate, _view_major, which checks the objective and copies the rows;
 _normalize_rows normalizes every row here and in the encoder.
@@ -155,10 +156,15 @@ class Method(enum.Enum):
     def at(self, m: int) -> "Method":
         """The method whose kernel call computes this objective at M = m views.
         At M = 2 each anchor has one target, so the arithmetic mean of its one
-        likelihood is the geometric mean, and infonce's pair loss is multicrop;
-        otherwise the method itself."""
+        likelihood is the geometric mean. Each view's rest set is the other
+        view, whose normalized mean is that unit view itself, so suffstats'
+        candidates are geometric's; its z-gradient loses only the rest mean's
+        normalization, a radial term that the encoder's own normalization
+        removes. Infonce's pair loss is multicrop. Otherwise the method
+        itself."""
         if m == 2:
             return {Method.ARITHMETIC_PVC: Method.GEOMETRIC_PVC,
+                    Method.SUFFSTATS: Method.GEOMETRIC_PVC,
                     Method.INFONCE: Method.MULTICROP}.get(self, self)
         return self
 
@@ -616,9 +622,9 @@ def compute_loss(method: Method, z: EmbeddingBatch, tau: float) -> LossResult:
     """Dispatch to the objective named by method.
 
     INFONCE is the symmetric two-view pair loss and requires M = 2. At M = 2
-    it coincides with MULTICROP and ARITHMETIC_PVC with GEOMETRIC_PVC, and
-    each pair runs one kernel call (Method.at), so their losses and
-    gradients have the same bits.
+    it coincides with MULTICROP, and ARITHMETIC_PVC and SUFFSTATS with
+    GEOMETRIC_PVC; each group runs one kernel call (Method.at), so their
+    losses and gradients have the same bits.
     """
     return _loss_and_zgrad(method, z, tau, want_grad=False)[0]
 
@@ -641,7 +647,9 @@ def _view_major(method: Method, z: np.ndarray, tau: float) -> np.ndarray:
 def _per_sample_loss(method: Method, zt: np.ndarray, tau: float, want_grad: bool):
     """Per-sample losses (..., K) of view-major unit rows zt (..., M, K, d),
     and the gradient w.r.t. zt of a single batch (M, K, d) if want_grad.
-    The kernel call is method.at(M)'s, so methods that coincide at M share it."""
+    The kernel call is method.at(M)'s, so methods that coincide at M share
+    it: at M = 2 arithmetic and suffstats run geometric's call, infonce
+    runs multicrop's, and the rest-set means below serve suffstats at M >= 3."""
     method = method.at(zt.shape[-3])
     if method is not Method.SUFFSTATS:
         return _candidate_set_loss(zt, zt, tau, method is Method.ARITHMETIC_PVC,

@@ -341,10 +341,12 @@ class TestCommittedBytes:
         assert table.to_gnuplot_text().encode() == summary.with_suffix(".dat").read_bytes()
 
     def test_runs_that_share_a_computation_differ_only_in_method(self):
-        # At M = 2 arithmetic computes geometric and infonce multicrop
-        # (Method.at), so their committed runs agree in every other column.
+        # At M = 2 arithmetic and suffstats compute geometric and infonce
+        # multicrop (Method.at), so their committed runs agree in every other
+        # column.
         pairs = [(m.value, m.at(2).value) for m in Method if m.at(2) is not m]
-        assert sorted(pairs) == [("arithmetic", "geometric"), ("infonce", "multicrop")]
+        assert sorted(pairs) == [("arithmetic", "geometric"), ("infonce", "multicrop"),
+                                 ("suffstats", "geometric")]
         for seed in range(8):
             for method, computation in pairs:
                 texts = [(FIG3 / f"{name}_m02_seed{seed:04d}.csv").read_text()
@@ -766,11 +768,11 @@ class TestSharedRuns:
         monkeypatch.setattr(harness, "run_training", counting)
         return calls
 
-    def test_five_method_two_view_sweep_trains_three_runs_per_seed(self, tmp_path, monkeypatch):
+    def test_five_method_two_view_sweep_trains_two_runs_per_seed(self, tmp_path, monkeypatch):
         calls = self.counted(monkeypatch)
         results = run_sweep(self.TWO_VIEWS, str(tmp_path))
         assert sorted((s.seed, s.method.value) for s in calls) == [
-            (seed, method) for seed in (0, 1) for method in ("geometric", "multicrop", "suffstats")]
+            (seed, method) for seed in (0, 1) for method in ("geometric", "multicrop")]
         assert [r.spec for r in results] == self.TWO_VIEWS.expand()
         assert [r.status for r in results] == ["ran"] * 10
         monkeypatch.undo()
@@ -1084,7 +1086,7 @@ class TestBatchTasks:
         (Method.GEOMETRIC_PVC, (0.3416283560571837, 0.24026538613066512,
                                 0.10136296992651854, 0.005318207151279104)),
         (Method.SUFFSTATS, (0.31266230275405227, 0.24026538613066512,
-                            0.07239691662338715, 0.00505063052294103)),
+                            0.07239691662338711, 0.005050630522941002)),
     ])
     def test_validity_report_equals_serial_at_every_width(self, monkeypatch, method, want):
         # The serial loop gave these at the same tile size. 13 batches: the

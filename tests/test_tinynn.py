@@ -8,6 +8,7 @@ units are active, making the algebra short enough to do on paper.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 import tracemalloc
@@ -419,6 +420,23 @@ class TestGradients:
         assert got < limit * 2**20, f"{got / 2**20:.2f} MiB"
 
 
+def set_losses_case(method: Method) -> tuple[MlpParams, np.ndarray]:
+    """The parameters and views of TestBatchedOracle's set-loss comparison."""
+    return init_params(rng_for(18)), random_views(4, 2 if method is Method.INFONCE else 3, case=8)
+
+
+@functools.lru_cache(maxsize=None)
+def loop_set_losses(method: Method, tau: float) -> np.ndarray:
+    """The loop oracle's 2,240 set losses on set_losses_case(method), read-only.
+    Its bits are the same at 8, 128 and 1024 rows a block (every method, tau
+    0.5 and 1e-3), so it runs once per (method, tau), at the default."""
+    want = []
+    loop_finite_difference_grads(*set_losses_case(method), method, tau, set_losses=want)
+    want = np.array(want)
+    want.flags.writeable = False
+    return want
+
+
 class TestBatchedOracle:
     """finite_difference_grads scores its perturbed parameter sets in chunks
     on a leading set axis; the per-entry loop above is its reference."""
@@ -430,12 +448,10 @@ class TestBatchedOracle:
         # K = 4: one tile, or tiles of two views with a mirrored, ragged one
         # at M = 3. 96 sets per chunk do not divide the 2,240 sets, and one
         # chunk holds both first- and second-layer perturbations.
+        want = loop_set_losses(method, tau)  # before the tile sizes are patched
         monkeypatch.setattr(losses, "_ROW_BLOCK", row_block)
         monkeypatch.setattr(tinynn, "_FD_CHUNK", chunk)
-        params = init_params(rng_for(18))
-        views = random_views(4, 2 if method is Method.INFONCE else 3, case=8)
-        want = []
-        loop_finite_difference_grads(params, views, method, tau, set_losses=want)
+        params, views = set_losses_case(method)
         got = tinynn._perturbed_losses(params.as_dict(), views, method, tau, 1e-6)
         np.testing.assert_array_equal(got, want)
 
